@@ -48,7 +48,7 @@ def parse_spec(text):
     if kind not in CATALOG:
         raise AttackSpecError(
             f"unknown attack {kind!r}; valid kinds: {', '.join(sorted(CATALOG))}")
-    defaults = CATALOG[kind]
+    _, defaults = CATALOG[kind]
     params = {}
     if rest:
         for item in rest.split(","):
@@ -73,14 +73,16 @@ def apply_attack(img, spec, default_seed=0):
         raise AttackSpecError(
             f"unknown attack {spec.kind!r}; valid kinds: "
             f"{', '.join(sorted(CATALOG))}")
-    params = dict(CATALOG[spec.kind])
+    impl, defaults = CATALOG[spec.kind]
+    params = dict(defaults)
     if "seed" in params:
         params["seed"] = default_seed
     params.update(spec.params)
     img = quantize(np.asarray(img, dtype=np.float64))
-    out = _IMPL[spec.kind](img, **params)
-    out = quantize(out)
-    assert out.shape == img.shape
+    out = quantize(impl(img, **params))
+    if out.shape != img.shape:
+        raise ValueError(f"attack {spec.kind} changed the image shape "
+                         f"from {img.shape} to {out.shape}")
     return out
 
 
@@ -190,8 +192,7 @@ def _gamma(img, g):
 
 
 def _sharpen(img, lam):
-    blurred = ndimage.correlate(img, np.full((3, 3), 1.0 / 9.0), mode="nearest")
-    return img + lam * (img - blurred)
+    return img + lam * (img - _lpf(img))
 
 
 def _awgn(img, snr_db, seed):
@@ -257,43 +258,25 @@ def _jpeg(img, q):
     return jpeg_codec(img, int(q))
 
 
-# kind -> default params ("seed" marks an attack as randomized)
+# kind -> (implementation, default params); a "seed" default marks an
+# attack as randomized
 CATALOG = {
-    "median": {},
-    "lpf": {},
-    "gaussian_filter": {"sigma": 0.8},
-    "histogram_eq": {},
-    "crop_half": {},
-    "invert": {},
-    "range_map": {"low": 25, "up": 215},
-    "add_noise": {"pixels": 0.10, "amount": 0.20, "seed": 0},
-    "rescale": {},
-    "erode": {},
-    "dilate": {},
-    "gamma": {"g": 0.8},
-    "sharpen": {"lam": 1.0},
-    "awgn": {"snr_db": 11.4, "seed": 0},
-    "jpeg": {"q": 50},
-    "intensity_adjust": {},
-}
-
-_IMPL = {
-    "median": _median,
-    "lpf": _lpf,
-    "gaussian_filter": _gaussian_filter,
-    "histogram_eq": _histogram_eq,
-    "crop_half": _crop_half,
-    "invert": _invert,
-    "range_map": _range_map,
-    "add_noise": _add_noise,
-    "rescale": _rescale,
-    "erode": _erode,
-    "dilate": _dilate,
-    "gamma": _gamma,
-    "sharpen": _sharpen,
-    "awgn": _awgn,
-    "jpeg": _jpeg,
-    "intensity_adjust": _intensity_adjust,
+    "median": (_median, {}),
+    "lpf": (_lpf, {}),
+    "gaussian_filter": (_gaussian_filter, {"sigma": 0.8}),
+    "histogram_eq": (_histogram_eq, {}),
+    "crop_half": (_crop_half, {}),
+    "invert": (_invert, {}),
+    "range_map": (_range_map, {"low": 25, "up": 215}),
+    "add_noise": (_add_noise, {"pixels": 0.10, "amount": 0.20, "seed": 0}),
+    "rescale": (_rescale, {}),
+    "erode": (_erode, {}),
+    "dilate": (_dilate, {}),
+    "gamma": (_gamma, {"g": 0.8}),
+    "sharpen": (_sharpen, {"lam": 1.0}),
+    "awgn": (_awgn, {"snr_db": 11.4, "seed": 0}),
+    "jpeg": (_jpeg, {"q": 50}),
+    "intensity_adjust": (_intensity_adjust, {}),
 }
 
 # benchmark rows in table order; sharpen at full strength is the "edge"

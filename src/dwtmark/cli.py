@@ -1,8 +1,9 @@
 """Command-line front end: embed, extract, attack, and a bench harness.
 
 The bench command embeds once, runs the attack catalog against the
-watermarked image, extracts with each requested detector and writes a
-JSON report (plus a CSV when a JPEG quality sweep is requested).
+watermarked image, decomposes the cover and each attacked image once,
+decodes every requested detector from that image's one vote tally and
+writes a JSON report (plus a CSV when a JPEG quality sweep is requested).
 Reports are deterministic for a given (inputs, flags, seed).
 """
 
@@ -16,20 +17,24 @@ import sys
 import numpy as np
 
 from . import metrics
-from .attacks import DEFAULT_BENCH, AttackSpecError, apply_attack, parse_spec
-from .pixmap import (FormatError, quantize, read_image, read_watermark,
-                     write_image, write_watermark)
-from .watermarker import (EmbedConfig, embed_image, extract_image,
-                          parse_detector)
+from .attacks import DEFAULT_BENCH, apply_attack, parse_spec
+from .dwt import dwt2
+from .pixmap import (quantize, read_image, read_watermark, write_image,
+                     write_watermark)
+from .watermarker import (EmbedConfig, decode, embed_image, extract_image,
+                          extract_votes, parse_detector)
 
 REPORT_VERSION = 1
 SEED_ENV = "DWTMARK_SEED"
 
 
 def _round6(x):
-    if isinstance(x, float) and not math.isfinite(x):
+    x = float(x)
+    if math.isnan(x):
+        raise ValueError("refusing to report a NaN metric")
+    if math.isinf(x):
         return "inf" if x > 0 else "-inf"
-    return round(float(x), 6)
+    return round(x, 6)
 
 
 def _config_from_args(args):
@@ -99,7 +104,28 @@ def _bench_rows(args):
     return [s.strip() for s in args.attacks.split(";") if s.strip()]
 
 
+def _sweep_qualities(args):
+    """The JPEG qualities --jpeg-sweep asks for (none when it is unset)."""
+    if not args.jpeg_sweep:
+        return range(0)
+    if args.jpeg_sweep_step < 1:
+        raise ValueError(
+            f"--jpeg-sweep-step must be >= 1, got {args.jpeg_sweep_step}")
+    lo, _, hi = args.jpeg_sweep.partition("..")
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"bad sweep range: {args.jpeg_sweep!r}") from None
+    if not 1 <= lo <= hi <= 100:
+        raise ValueError(f"--jpeg-sweep needs 1 <= LO <= HI <= 100, "
+                         f"got {args.jpeg_sweep!r}")
+    return range(lo, hi + 1, args.jpeg_sweep_step)
+
+
 def cmd_bench(args):
+    if args.repeat < 1:
+        raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
+    qualities = _sweep_qualities(args)
     cover = read_image(args.cover)
     wm = read_watermark(args.watermark)
     cfg = _config_from_args(args)
@@ -111,6 +137,24 @@ def cmd_bench(args):
 
     marked, embed_report = embed_image(cover, wm, cfg)
     transmitted = quantize(marked)
+    cover_pyr = dwt2(cover, cfg.levels)
+
+    def score(spec_text, repeat):
+        """Detector name -> (BERs, NCCs) over `repeat` seeded trials.
+
+        Each attacked image is decomposed and tallied once; every detector
+        decodes from that one tally.
+        """
+        spec = parse_spec(spec_text)
+        runs = {name: ([], []) for name in sorted(detectors)}
+        for rep_i in range(repeat):
+            attacked = apply_attack(transmitted, spec, default_seed=seed + rep_i)
+            tallies = extract_votes(cover_pyr, dwt2(attacked, cfg.levels), cfg)
+            for name, (bers, nccs) in runs.items():
+                est = decode(tallies, detectors[name])
+                bers.append(metrics.ber(wm, est))
+                nccs.append(metrics.ncc(wm, est))
+        return runs
 
     report = {
         "format_version": REPORT_VERSION,
@@ -138,41 +182,23 @@ def cmd_bench(args):
     for spec_text in _bench_rows(args):
         row = {"spec": spec_text, "seed": seed}
         try:
-            spec = parse_spec(spec_text)
-            runs = {name: {"ber": [], "ncc": []} for name in detectors}
-            for rep_i in range(args.repeat):
-                attacked = apply_attack(transmitted, spec,
-                                        default_seed=seed + rep_i)
-                for name, structure in detectors.items():
-                    est = extract_image(cover, attacked, cfg, structure)
-                    runs[name]["ber"].append(metrics.ber(wm, est))
-                    runs[name]["ncc"].append(metrics.ncc(wm, est))
-            row["detectors"] = {}
-            for name, vals in sorted(runs.items()):
-                entry = {"ber": _round6(float(np.mean(vals["ber"]))),
-                         "ncc": _round6(float(np.mean(vals["ncc"])))}
-                if args.repeat > 1:
-                    entry["ber_std"] = _round6(float(np.std(vals["ber"])))
-                row["detectors"][name] = entry
-        except (AttackSpecError, ValueError) as e:
+            runs = score(spec_text, args.repeat)
+        except ValueError as e:
             row["error"] = str(e)
+        else:
+            row["detectors"] = {}
+            for name, (bers, nccs) in runs.items():
+                entry = {"ber": _round6(np.mean(bers)),
+                         "ncc": _round6(np.mean(nccs))}
+                if args.repeat > 1:
+                    entry["ber_std"] = _round6(np.std(bers))
+                row["detectors"][name] = entry
         report["attacks"].append(row)
 
     sweep_rows = []
-    if args.jpeg_sweep:
-        lo, _, hi = args.jpeg_sweep.partition("..")
-        try:
-            qualities = range(int(lo), int(hi) + 1, args.jpeg_sweep_step)
-        except ValueError:
-            raise SystemExit(f"bad sweep range: {args.jpeg_sweep!r}")
-        for quality in qualities:
-            attacked = apply_attack(transmitted, parse_spec(f"jpeg:q={quality}"),
-                                    default_seed=seed)
-            for name, structure in sorted(detectors.items()):
-                est = extract_image(cover, attacked, cfg, structure)
-                sweep_rows.append((quality, name,
-                                   _round6(metrics.ber(wm, est)),
-                                   _round6(metrics.ncc(wm, est))))
+    for quality in qualities:
+        for name, (bers, nccs) in score(f"jpeg:q={quality}", 1).items():
+            sweep_rows.append((quality, name, _round6(bers[0]), _round6(nccs[0])))
 
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -241,9 +267,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, AttackSpecError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

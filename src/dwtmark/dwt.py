@@ -45,15 +45,6 @@ class WaveletPyramid:
     detail: dict
     approx: np.ndarray
 
-    def subband(self, s, l):
-        return self.detail[(s, l)]
-
-    def coefficient_count(self):
-        n = self.approx.size
-        for band in self.detail.values():
-            n += band.size
-        return n
-
 
 def _analyze_axis(x, axis):
     """One analysis step along `axis`: returns (low, high), each half-size."""

@@ -42,12 +42,13 @@ def _tokens(data):
             i = j
 
 
-def _parse_int(tok, field):
+def _parse_int(tok, field, lo=1, hi=float("inf")):
+    """Parse a decimal token that must lie in [lo, hi]."""
     try:
         v = int(tok)
     except ValueError:
         raise FormatError(f"bad {field}: {tok!r}") from None
-    if v <= 0:
+    if not lo <= v <= hi:
         raise FormatError(f"bad {field}: {v}")
     return v
 
@@ -92,15 +93,13 @@ def read_image(path):
     else:
         vals = []
         for _, tok in toks:
-            vals.append(_parse_int(tok, "pixel") if tok != b"0" else 0)
+            vals.append(_parse_int(tok, "pixel", 0, 255))
             if len(vals) == count:
                 break
         if len(vals) < count:
             raise FormatError(
                 f"truncated pixel data: got {len(vals)} of {count} samples")
         pixels = np.array(vals)
-        if pixels.max() > 255:
-            raise FormatError(f"pixel value out of range: {pixels.max()}")
 
     return pixels.reshape(height, width).astype(np.float64)
 

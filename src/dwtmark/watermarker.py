@@ -82,11 +82,11 @@ def compute_thresholds(pyr, cfg):
     return thresholds
 
 
-def _tile_mark(wm, shape):
-    """b(m, n) = wm[m mod 16, n mod 16] over a subband of the given shape."""
+def _bit_index(shape):
+    """Flat mark position (m mod 16)*16 + (n mod 16) of each coefficient."""
     rows = np.arange(shape[0]) % WM_SIZE
     cols = np.arange(shape[1]) % WM_SIZE
-    return wm[np.ix_(rows, cols)]
+    return rows[:, None] * WM_SIZE + cols[None, :]
 
 
 def embed(pyr, wm, cfg):
@@ -101,7 +101,7 @@ def embed(pyr, wm, cfg):
     for key, t in thresholds.items():
         band = pyr.detail[key]
         mask = np.abs(band) > t
-        b = _tile_mark(wm, band.shape)
+        b = wm.ravel()[_bit_index(band.shape)]
         factor = 1.0 + cfg.mod_sign * cfg.alpha * b
         detail[key] = np.where(mask, band * factor, band)
         report.modified[key] = int(mask.sum())
@@ -136,16 +136,10 @@ def extract_votes(cover_pyr, received_pyr, cfg):
         # sgn((c'-c)/c) == sgn(c'-c) * sgn(c); correct the sign so the
         # estimate equals b on a clean channel
         vote = cfg.mod_sign * np.sign(c_recv - c) * np.sign(c)
-        tally = np.zeros((2, WM_SIZE, WM_SIZE), dtype=np.int64)
-        rows = (np.arange(c.shape[0]) % WM_SIZE)[:, None]
-        cols = (np.arange(c.shape[1]) % WM_SIZE)[None, :]
-        ri = np.broadcast_to(rows, c.shape)
-        ci = np.broadcast_to(cols, c.shape)
-        plus = qualifying & (vote > 0)
-        minus = qualifying & (vote < 0)
-        np.add.at(tally[0], (ri[plus], ci[plus]), 1)
-        np.add.at(tally[1], (ri[minus], ci[minus]), 1)
-        tallies[key] = tally
+        idx = _bit_index(c.shape)
+        counts = [np.bincount(idx[qualifying & side], minlength=WM_SIZE * WM_SIZE)
+                  for side in (vote > 0, vote < 0)]
+        tallies[key] = np.stack(counts).reshape(2, WM_SIZE, WM_SIZE)
     return tallies
 
 
@@ -167,13 +161,20 @@ def decode(tallies, detector):
     return np.where(verdict_sum >= 0, 1, -1).astype(np.int8)
 
 
+def _finite_image(img, name):
+    img = np.asarray(img, dtype=np.float64)
+    if not np.isfinite(img).all():
+        raise ValueError(f"{name} image has non-finite pixel values")
+    return img
+
+
 def embed_image(cover, wm, cfg=EmbedConfig()):
     """Full pipeline: decompose, embed, reconstruct.
 
     Returns (watermarked image, EmbedReport); the report's psnr compares
     the real-valued reconstruction against the cover.
     """
-    cover = np.asarray(cover, dtype=np.float64)
+    cover = _finite_image(cover, "cover")
     pyr = dwt2(cover, cfg.levels)
     marked_pyr, report = embed(pyr, wm, cfg)
     marked = idwt2(marked_pyr)
@@ -183,8 +184,8 @@ def embed_image(cover, wm, cfg=EmbedConfig()):
 
 def extract_image(cover, received, cfg=EmbedConfig(), detector=DETECTOR_I):
     """Non-blind extraction: returns the decoded 16x16 {-1,+1} mark."""
-    cover = np.asarray(cover, dtype=np.float64)
-    received = np.asarray(received, dtype=np.float64)
+    cover = _finite_image(cover, "cover")
+    received = _finite_image(received, "received")
     if cover.shape != received.shape:
         raise ValueError(
             f"cover {cover.shape} and received {received.shape} differ in size")

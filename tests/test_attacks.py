@@ -194,6 +194,12 @@ class TestCatalogSemantics:
         with pytest.raises(AttackSpecError, match="unknown attack"):
             apply_attack(lena_like, AttackSpec(kind="blur9000"))
 
+    def test_shape_change_raises(self, lena_like, monkeypatch):
+        # an explicit check, so it also holds under python -O
+        monkeypatch.setitem(CATALOG, "crop_half", (lambda img: img[:-1], {}))
+        with pytest.raises(ValueError, match="shape"):
+            apply_attack(lena_like, AttackSpec(kind="crop_half"))
+
 
 class TestJpeg:
     def test_quality_table_scaling(self):

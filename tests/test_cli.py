@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
-from dwtmark.cli import main
+from dwtmark import cli
+from dwtmark.cli import _round6, main
 from dwtmark.pixmap import read_image, read_watermark, write_image, write_watermark
 
 from conftest import random_mark
@@ -212,3 +214,53 @@ def test_bench_row_equals_standalone_composition(workdir, capsys):
           "--out", str(workdir / "r.json")])
     report = json.loads((workdir / "r.json").read_text())
     assert report["attacks"][0]["detectors"]["I"]["ber"] == pytest.approx(ber)
+
+
+# sha256 of the files the golden bench run below writes; a change to
+# embedding, attacks, extraction or report formatting shows up here
+GOLDEN_SHA256 = {
+    "report.json":
+        "5d42c9b8f29364a2a9de23eab1b861ced6449b7b8e8d07c362b23b4ff974031e",
+    "report_sweep.csv":
+        "5580d6358a9aa920ac90761962e076b637ef35707ffeb5fa9097fa15968ec065",
+}
+
+
+def test_bench_golden_bytes(tmp_path, monkeypatch, lena_like, mark):
+    # the report echoes its input paths, so run on bare names
+    monkeypatch.chdir(tmp_path)
+    write_image(lena_like, "cover.pgm")
+    write_watermark(mark, "mark.pbm")
+    rc = main(["bench", "cover.pgm", "mark.pbm",
+               "--attacks", "median;add_noise;jpeg:q=50", "--seed", "11",
+               "--repeat", "2", "--jpeg-sweep", "40..80",
+               "--jpeg-sweep-step", "20"])
+    assert rc == 0
+    for name, digest in GOLDEN_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--repeat", "0"], "--repeat must be >= 1"),
+    (["--jpeg-sweep", "10..30", "--jpeg-sweep-step", "0"],
+     "--jpeg-sweep-step must be >= 1"),
+    (["--jpeg-sweep", "0..10"], "1 <= LO <= HI <= 100"),
+    (["--jpeg-sweep", "90..101"], "1 <= LO <= HI <= 100"),
+], ids=["repeat", "sweep_step", "sweep_low", "sweep_high"])
+def test_bench_rejects_bad_flags_before_work(workdir, capsys, monkeypatch,
+                                             flags, message):
+    def no_work(*_):
+        raise AssertionError("bench read its inputs before checking flags")
+    monkeypatch.setattr(cli, "read_image", no_work)
+    rc = main(["bench", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
+               "--attacks", "median", "--out", str(workdir / "r.json"), *flags])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (workdir / "r.json").exists()
+
+
+def test_round6_rejects_nan():
+    assert _round6(float("inf")) == "inf"
+    assert _round6(0.1234567) == 0.123457
+    with pytest.raises(ValueError, match="NaN"):
+        _round6(float("nan"))

@@ -75,7 +75,7 @@ def test_pyramid_structure_256():
     assert pyr.detail[("d", 2)].shape == (64, 64)
     assert pyr.detail[("v", 3)].shape == (32, 32)
     assert pyr.approx.shape == (32, 32)
-    assert pyr.coefficient_count() == 65536
+    assert pyr.approx.size + sum(b.size for b in pyr.detail.values()) == 65536
     assert len(pyr.detail) == 9
 
 

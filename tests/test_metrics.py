@@ -29,6 +29,19 @@ class TestPsnr:
             metrics.psnr(np.zeros((4, 4)), np.zeros((5, 5)))
 
 
+@pytest.mark.parametrize("measure", [metrics.psnr, metrics.ssim,
+                                     metrics.kl_security,
+                                     metrics.mutual_information])
+def test_non_finite_images_rejected(measure):
+    a = np.zeros((16, 16))
+    b = a.copy()
+    b[3, 4] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        measure(a, b)
+    with pytest.raises(ValueError, match="finite"):
+        measure(b, a)
+
+
 class TestSsim:
     def test_self_similarity(self, lena_like):
         assert metrics.ssim(lena_like, lena_like) == pytest.approx(1.0)

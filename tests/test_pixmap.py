@@ -9,9 +9,9 @@ from dwtmark.pixmap import (FormatError, quantize, read_image, read_watermark,
 
 def test_read_p2_transcribes_pixels(tmp_path):
     p = tmp_path / "t.pgm"
-    p.write_bytes(b"P2\n2 2\n255\n0 255\n128 64\n")
+    p.write_bytes(b"P2\n3 2\n255\n0 255 00\n128 64 0255\n")
     img = read_image(p)
-    assert img.tolist() == [[0, 255], [128, 64]]
+    assert img.tolist() == [[0, 255, 0], [128, 64, 255]]
 
 
 def test_read_p5_roundtrip_dimensions(tmp_path):

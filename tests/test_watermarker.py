@@ -268,6 +268,17 @@ class TestEndToEnd:
         with pytest.raises(ValueError, match="differ"):
             extract_image(lena_like, lena_like[:128, :128], CFG, DETECTOR_I)
 
+    def test_non_finite_pixels_rejected(self, lena_like, mark):
+        bad = lena_like.copy()
+        bad[5, 7] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            embed_image(bad, mark, CFG)
+        bad[5, 7] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            extract_image(lena_like, bad, CFG, DETECTOR_I)
+        with pytest.raises(ValueError, match="non-finite"):
+            extract_image(bad, lena_like, CFG, DETECTOR_I)
+
 
 class TestConfig:
     def test_alpha_bounds(self):
