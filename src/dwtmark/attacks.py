@@ -60,11 +60,18 @@ def parse_spec(text):
                     f"(valid: {', '.join(defaults) or 'none'})")
             caster = type(defaults[key])
             try:
-                params[key] = caster(value)
+                params[key] = _checked(kind, key, caster(value))
             except ValueError:
                 raise AttackSpecError(
                     f"bad value {value!r} for {kind}.{key}") from None
     return AttackSpec(kind=kind, params=params)
+
+
+def _checked(kind, key, value):
+    """`value` if it is finite (and, for a seed, non-negative)."""
+    if not -math.inf < value < math.inf or (key == "seed" and value < 0):
+        raise AttackSpecError(f"bad value {value!r} for {kind}.{key}")
+    return value
 
 
 def apply_attack(img, spec, default_seed=0):
@@ -78,6 +85,8 @@ def apply_attack(img, spec, default_seed=0):
     if "seed" in params:
         params["seed"] = default_seed
     params.update(spec.params)
+    for key, value in params.items():
+        _checked(spec.kind, key, value)
     img = quantize(np.asarray(img, dtype=np.float64))
     out = quantize(impl(img, **params))
     if out.shape != img.shape:

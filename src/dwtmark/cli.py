@@ -54,15 +54,15 @@ def _add_config_flags(p):
 
 
 def _default_seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(f"bad {SEED_ENV} value: {env!r}")
-    return 0
+    """The attack seed: --seed, else $DWTMARK_SEED, else 0."""
+    seed = args.seed if args.seed is not None else os.environ.get(SEED_ENV, "0")
+    try:
+        seed = int(seed)
+    except ValueError:
+        raise ValueError(f"bad {SEED_ENV} value: {seed!r}") from None
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def cmd_embed(args):
@@ -91,9 +91,9 @@ def cmd_extract(args):
 
 
 def cmd_attack(args):
-    img = read_image(args.input)
     spec = parse_spec(args.spec)
-    out = apply_attack(img, spec, default_seed=_default_seed(args))
+    seed = _default_seed(args)
+    out = apply_attack(read_image(args.input), spec, default_seed=seed)
     write_image(out, args.out)
     return 0
 
@@ -126,14 +126,12 @@ def cmd_bench(args):
     if args.repeat < 1:
         raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
     qualities = _sweep_qualities(args)
+    seed = _default_seed(args)
+    detectors = {name.strip(): parse_detector(name)
+                 for name in args.detectors.split(",")}
+    cfg = _config_from_args(args)
     cover = read_image(args.cover)
     wm = read_watermark(args.watermark)
-    cfg = _config_from_args(args)
-    seed = _default_seed(args)
-    detectors = {}
-    for name in args.detectors.split(","):
-        name = name.strip()
-        detectors[name] = parse_detector(name)
 
     marked, embed_report = embed_image(cover, wm, cfg)
     transmitted = quantize(marked)

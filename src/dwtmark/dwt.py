@@ -2,8 +2,13 @@
 
 Boundary handling is periodic (circular), which keeps every subband at
 exactly half the parent size and gives perfect reconstruction with the
-orthogonal filter pair.  Downsampling keeps the even-indexed outputs;
-synthesis mirrors that phase.
+orthogonal filter pair.  Each 1-D step is polyphase: with e, o the even
+and odd samples along the axis and S(e, o) both advanced one sample,
+analysis is (low, high) = A0 @ (e, o) + A1 @ S(e, o), where
+A0 = [[lo0, lo1], [hi0, hi1]] and A1 = [[lo2, lo3], [hi2, hi3]].  The bank
+is orthogonal, so synthesis is the transposed step
+(e, o) = A0.T @ (low, high) + A1.T @ S^-1(low, high), followed by
+interleaving the two phases; no zero-filled upsampled array is built.
 
 Orientation convention (fixed):
     'h' = low-pass along rows, high-pass along columns  (horizontal edges)
@@ -29,8 +34,7 @@ def db2_filters():
     """
     s3 = math.sqrt(3.0)
     lo = np.array([1.0 + s3, 3.0 + s3, 3.0 - s3, 1.0 - s3]) / (4.0 * math.sqrt(2.0))
-    hi = lo[::-1].copy()
-    hi[1::2] *= -1.0
+    hi = lo[::-1] * np.array([1.0, -1.0, 1.0, -1.0])
     return lo, hi
 
 
@@ -46,33 +50,29 @@ class WaveletPyramid:
     approx: np.ndarray
 
 
+_A0, _A1 = np.hsplit(np.array(db2_filters()), 2)
+
+
+def _step(a, b, m0, m1, shift):
+    """m0 @ (a, b) + m1 @ roll((a, b), shift) on the last axis, summed term
+    by term in that order so it rounds exactly like the direct 4-tap filter."""
+    ra, rb = np.roll(a, shift, axis=-1), np.roll(b, shift, axis=-1)
+    return [m0[r, 0] * a + m0[r, 1] * b + m1[r, 0] * ra + m1[r, 1] * rb
+            for r in (0, 1)]
+
+
 def _analyze_axis(x, axis):
     """One analysis step along `axis`: returns (low, high), each half-size."""
-    lo, hi = db2_filters()
     x = np.moveaxis(x, axis, -1)
-    low = np.zeros((*x.shape[:-1], x.shape[-1] // 2))
-    high = np.zeros_like(low)
-    for k in range(4):
-        shifted = np.roll(x, -k, axis=-1)[..., ::2]
-        low += lo[k] * shifted
-        high += hi[k] * shifted
+    low, high = _step(x[..., 0::2], x[..., 1::2], _A0, _A1, -1)
     return np.moveaxis(low, -1, axis), np.moveaxis(high, -1, axis)
 
 
 def _synthesize_axis(low, high, axis):
     """Adjoint of _analyze_axis: merge half-size (low, high) along `axis`."""
-    lo, hi = db2_filters()
-    low = np.moveaxis(low, axis, -1)
-    high = np.moveaxis(high, axis, -1)
-    n = 2 * low.shape[-1]
-    up_lo = np.zeros((*low.shape[:-1], n))
-    up_hi = np.zeros_like(up_lo)
-    up_lo[..., ::2] = low
-    up_hi[..., ::2] = high
-    x = np.zeros_like(up_lo)
-    for k in range(4):
-        x += lo[k] * np.roll(up_lo, k, axis=-1)
-        x += hi[k] * np.roll(up_hi, k, axis=-1)
+    even, odd = _step(np.moveaxis(low, axis, -1), np.moveaxis(high, axis, -1),
+                      _A0.T, _A1.T, 1)
+    x = np.stack((even, odd), axis=-1).reshape(*even.shape[:-1], -1)
     return np.moveaxis(x, -1, axis)
 
 
@@ -106,9 +106,7 @@ def idwt2(pyr):
     approx = pyr.approx
     for l in range(pyr.levels, 0, -1):
         try:
-            h = pyr.detail[("h", l)]
-            v = pyr.detail[("v", l)]
-            d = pyr.detail[("d", l)]
+            h, v, d = (pyr.detail[(s, l)] for s in ORIENTATIONS)
         except KeyError as e:
             raise ValueError(f"pyramid is missing subband {e.args[0]}") from None
         if not (h.shape == v.shape == d.shape == approx.shape):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from .pixmap import quantize
+from .pixmap import finite_image, quantize
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -21,12 +21,9 @@ DYNAMIC_RANGE = 255.0
 
 
 def _check_same_shape(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = finite_image(a, "first"), finite_image(b, "second")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("images must have finite pixel values")
     return a, b
 
 
@@ -130,10 +127,7 @@ def mutual_information(cover, stego):
     cover, stego = _check_same_shape(cover, stego)
     x = quantize(cover).astype(np.int64).ravel()
     y = quantize(stego).astype(np.int64).ravel()
-    joint = np.bincount(x * 256 + y, minlength=256 * 256).astype(np.float64)
-    eps = 1.0 / (4.0 * x.size)
-    joint += eps
-    joint /= joint.sum()
+    joint = _smoothed(np.bincount(x * 256 + y, minlength=256 * 256))
     joint = joint.reshape(256, 256)
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)

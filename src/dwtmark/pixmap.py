@@ -53,6 +53,14 @@ def _parse_int(tok, field, lo=1, hi=float("inf")):
     return v
 
 
+def finite_image(img, name):
+    """`img` as float64; ValueError if any pixel is NaN or infinite."""
+    img = np.asarray(img, dtype=np.float64)
+    if not np.isfinite(img).all():
+        raise ValueError(f"{name} image has non-finite pixel values")
+    return img
+
+
 def read_image(path):
     """Read a P2 (ASCII) or P5 (binary) PGM with maxval 255.
 
@@ -106,7 +114,7 @@ def read_image(path):
 
 def write_image(img, path):
     """Write a binary P5 PGM (maxval 255), quantizing samples half-up."""
-    img = np.asarray(img, dtype=np.float64)
+    img = finite_image(img, "output")
     if img.ndim != 2:
         raise ValueError(f"image must be 2-D, got shape {img.shape}")
     h, w = img.shape

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import metrics
 from .dwt import ORIENTATIONS, WaveletPyramid, dwt2, idwt2
-from .pixmap import WM_SIZE, validate_watermark
+from .pixmap import WM_SIZE, finite_image, validate_watermark
 
 # detector structures from the two best-performing decoders: all nine
 # detail subbands, and the low-frequency trio {h@2, v@2, v@3}
@@ -161,20 +161,13 @@ def decode(tallies, detector):
     return np.where(verdict_sum >= 0, 1, -1).astype(np.int8)
 
 
-def _finite_image(img, name):
-    img = np.asarray(img, dtype=np.float64)
-    if not np.isfinite(img).all():
-        raise ValueError(f"{name} image has non-finite pixel values")
-    return img
-
-
 def embed_image(cover, wm, cfg=EmbedConfig()):
     """Full pipeline: decompose, embed, reconstruct.
 
     Returns (watermarked image, EmbedReport); the report's psnr compares
     the real-valued reconstruction against the cover.
     """
-    cover = _finite_image(cover, "cover")
+    cover = finite_image(cover, "cover")
     pyr = dwt2(cover, cfg.levels)
     marked_pyr, report = embed(pyr, wm, cfg)
     marked = idwt2(marked_pyr)
@@ -184,8 +177,8 @@ def embed_image(cover, wm, cfg=EmbedConfig()):
 
 def extract_image(cover, received, cfg=EmbedConfig(), detector=DETECTOR_I):
     """Non-blind extraction: returns the decoded 16x16 {-1,+1} mark."""
-    cover = _finite_image(cover, "cover")
-    received = _finite_image(received, "received")
+    cover = finite_image(cover, "cover")
+    received = finite_image(received, "received")
     if cover.shape != received.shape:
         raise ValueError(
             f"cover {cover.shape} and received {received.shape} differ in size")

@@ -66,6 +66,31 @@ class TestSpecParsing:
         assert parse_spec(str(spec)) == spec
 
 
+# non-finite numbers would turn the image into NaN, and numpy's own
+# error for a negative seed does not name the attack
+@pytest.mark.parametrize("kind, key, value", [
+    ("gamma", "g", "nan"),
+    ("awgn", "snr_db", "nan"),
+    ("add_noise", "amount", "nan"),
+    ("sharpen", "lam", "inf"),
+    ("gaussian_filter", "sigma", "-inf"),
+    ("add_noise", "seed", "-1"),
+    ("awgn", "seed", "-3"),
+])
+def test_bad_parameter_values_rejected(lena_like, kind, key, value):
+    with pytest.raises(AttackSpecError, match=f"bad value .* for {kind}.{key}"):
+        parse_spec(f"{kind}:{key}={value}")
+    caster = type(CATALOG[kind][1][key])
+    spec = AttackSpec(kind=kind, params={key: caster(float(value))})
+    with pytest.raises(AttackSpecError, match=f"bad value .* for {kind}.{key}"):
+        apply_attack(lena_like, spec)
+
+
+def test_negative_default_seed_rejected(lena_like):
+    with pytest.raises(AttackSpecError, match="add_noise.seed"):
+        apply_attack(lena_like, parse_spec("add_noise"), default_seed=-1)
+
+
 class TestCatalogSemantics:
     def test_gamma_identity(self, lena_like):
         out = apply_attack(lena_like, parse_spec("gamma:g=1.0"))

@@ -246,7 +246,8 @@ def test_bench_golden_bytes(tmp_path, monkeypatch, lena_like, mark):
      "--jpeg-sweep-step must be >= 1"),
     (["--jpeg-sweep", "0..10"], "1 <= LO <= HI <= 100"),
     (["--jpeg-sweep", "90..101"], "1 <= LO <= HI <= 100"),
-], ids=["repeat", "sweep_step", "sweep_low", "sweep_high"])
+    (["--seed", "-1"], "seed must be >= 0"),
+], ids=["repeat", "sweep_step", "sweep_low", "sweep_high", "seed"])
 def test_bench_rejects_bad_flags_before_work(workdir, capsys, monkeypatch,
                                              flags, message):
     def no_work(*_):
@@ -264,3 +265,24 @@ def test_round6_rejects_nan():
     assert _round6(0.1234567) == 0.123457
     with pytest.raises(ValueError, match="NaN"):
         _round6(float("nan"))
+
+
+@pytest.mark.parametrize("env, message", [
+    ("-5", "seed must be >= 0"),
+    ("seven", "bad DWTMARK_SEED value"),
+], ids=["negative", "not_int"])
+@pytest.mark.parametrize("command", ["bench", "attack"])
+def test_bad_env_seed_rejected_before_work(workdir, capsys, monkeypatch,
+                                           env, message, command):
+    def no_work(*_):
+        raise AssertionError("read an input before checking the seed")
+    monkeypatch.setattr(cli, "read_image", no_work)
+    monkeypatch.setenv("DWTMARK_SEED", env)
+    out = workdir / "out"
+    args = {"bench": ["bench", str(workdir / "cover.pgm"),
+                      str(workdir / "mark.pbm"), "--out", str(out)],
+            "attack": ["attack", str(workdir / "cover.pgm"), str(out),
+                       "add_noise"]}[command]
+    assert main(args) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()

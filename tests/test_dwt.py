@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from dwtmark.dwt import WaveletPyramid, db2_filters, dwt2, idwt2
+from dwtmark.dwt import ORIENTATIONS, WaveletPyramid, db2_filters, dwt2, idwt2
 
 
 def brute_force_level1(img):
@@ -57,15 +58,35 @@ def test_constant_image_detail_vanishes(levels):
     assert np.allclose(pyr.approx, 9.25 * 2 ** levels, atol=1e-9)
 
 
-def test_level1_matches_brute_force_oracle():
+@pytest.mark.parametrize("shape", [(8, 8), (8, 12), (12, 8)],
+                         ids=["8x8", "8x12", "12x8"])
+def test_level1_matches_brute_force_oracle(shape):
     rng = np.random.default_rng(11)
-    img = rng.uniform(0, 255, (8, 8))
+    img = rng.uniform(0, 255, shape)
     pyr = dwt2(img, 1)
     ll, hband, vband, dband = brute_force_level1(img)
     assert np.abs(pyr.approx - ll).max() < 1e-12
     assert np.abs(pyr.detail[("h", 1)] - hband).max() < 1e-12
     assert np.abs(pyr.detail[("v", 1)] - vband).max() < 1e-12
     assert np.abs(pyr.detail[("d", 1)] - dband).max() < 1e-12
+
+
+# sha256 of the dwt2 coefficient bytes (approx, then each detail band by
+# level and orientation) and of the idwt2 output for a fixed 64x48 input
+# at 3 levels; any change in float rounding shows up here
+GOLDEN_DWT2 = "a1f6d8c6dc32a9af0fd89f61c85a8d692940887be15dc8112a9f8f1cb9d56a98"
+GOLDEN_IDWT2 = "9bade406fd169f51cfe22ab8c76b38fa4fc4042da4f7bf0c44005d077aa51432"
+
+
+def test_golden_bytes():
+    img = np.random.default_rng(2012).uniform(0, 255, (64, 48))
+    pyr = dwt2(img, 3)
+    digest = hashlib.sha256(pyr.approx.tobytes())
+    for l in (1, 2, 3):
+        for s in ORIENTATIONS:
+            digest.update(pyr.detail[(s, l)].tobytes())
+    assert digest.hexdigest() == GOLDEN_DWT2
+    assert hashlib.sha256(idwt2(pyr).tobytes()).hexdigest() == GOLDEN_IDWT2
 
 
 def test_pyramid_structure_256():

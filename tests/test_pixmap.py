@@ -56,6 +56,14 @@ def test_write_clamps_negative(tmp_path):
     assert read_image(p)[0, 0] == 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_rejects_non_finite(tmp_path, bad):
+    p = tmp_path / "t.pgm"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_image(np.array([[1.0, bad]]), p)
+    assert not p.exists()
+
+
 def test_write_rounds_half_up(tmp_path):
     p = tmp_path / "t.pgm"
     write_image(np.array([[254.6, 127.5, 128.0]]), p)
