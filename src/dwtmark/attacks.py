@@ -88,7 +88,18 @@ def apply_attack(img, spec, default_seed=0):
     for key, value in params.items():
         _checked(spec.kind, key, value)
     img = quantize(np.asarray(img, dtype=np.float64))
-    out = quantize(impl(img, **params))
+    try:
+        # an overflow or NaN on the way shows in the result, checked below
+        with np.errstate(all="ignore"):
+            out = impl(img, **params)
+        finite = bool(np.isfinite(out).all())
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise AttackSpecError(
+            f"attack {spec.kind} gives non-finite pixels with {params}: "
+            "a parameter is out of range")
+    out = quantize(out)
     if out.shape != img.shape:
         raise ValueError(f"attack {spec.kind} changed the image shape "
                          f"from {img.shape} to {out.shape}")

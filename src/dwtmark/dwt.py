@@ -7,8 +7,17 @@ and odd samples along the axis and S(e, o) both advanced one sample,
 analysis is (low, high) = A0 @ (e, o) + A1 @ S(e, o), where
 A0 = [[lo0, lo1], [hi0, hi1]] and A1 = [[lo2, lo3], [hi2, hi3]].  The bank
 is orthogonal, so synthesis is the transposed step
-(e, o) = A0.T @ (low, high) + A1.T @ S^-1(low, high), followed by
-interleaving the two phases; no zero-filled upsampled array is built.
+(e, o) = A0.T @ (low, high) + A1.T @ S^-1(low, high), written straight
+into the even and odd phase views of the next level's array; no
+zero-filled upsampled array is built and nothing is interleaved after.
+
+One kernel, _step, does every step of both directions along both axes.
+It writes in place into preallocated outputs and works through the rows
+in strips small enough that a strip's passes stay in L2 cache; no pass
+streams a full-size temporary through memory.  Every output sample is
+still ((c0*a + c1*b) + c2*S(a)) + c3*S(b), each product and sum one
+rounded float operation in that order, so the coefficients are
+bit-identical to the direct 4-tap filter whatever the strip size.
 
 Orientation convention (fixed):
     'h' = low-pass along rows, high-pass along columns  (horizontal edges)
@@ -50,30 +59,77 @@ class WaveletPyramid:
     approx: np.ndarray
 
 
-_A0, _A1 = np.hsplit(np.array(db2_filters()), 2)
+# weights (c0, c1, c2, c3) of _step, one row per output: analysis maps the
+# phases (e, o) to (low, high) with the filter taps; the transposed
+# synthesis maps (low, high) to phase r with (lo_r, hi_r, lo_r+2, hi_r+2)
+_ANALYSIS = np.array(db2_filters())
+_SYNTHESIS = np.array([_ANALYSIS[:, r::2].T.ravel() for r in (0, 1)])
+
+# elements per strip: the passes over a strip's inputs, output and scratch
+# buffers stay in L2 cache
+_STRIP = 1 << 15
 
 
-def _step(a, b, m0, m1, shift):
-    """m0 @ (a, b) + m1 @ roll((a, b), shift) on the last axis, summed term
-    by term in that order so it rounds exactly like the direct 4-tap filter."""
-    ra, rb = np.roll(a, shift, axis=-1), np.roll(b, shift, axis=-1)
-    return [m0[r, 0] * a + m0[r, 1] * b + m1[r, 0] * ra + m1[r, 1] * rb
-            for r in (0, 1)]
+def _phases(x, axis):
+    """(even, odd) sample views of a 2-D array along `axis`."""
+    return (x[0::2], x[1::2]) if axis == 0 else (x[:, 0::2], x[:, 1::2])
 
 
-def _analyze_axis(x, axis):
-    """One analysis step along `axis`: returns (low, high), each half-size."""
-    x = np.moveaxis(x, axis, -1)
-    low, high = _step(x[..., 0::2], x[..., 1::2], _A0, _A1, -1)
-    return np.moveaxis(low, -1, axis), np.moveaxis(high, -1, axis)
+def _step(a, b, weights, axis, shift, outs):
+    """One polyphase step along `axis` of the 2-D arrays a, b, in place:
+
+        outs[r] = ((c0*a + c1*b) + c2*S(a)) + c3*S(b),  (c0..c3) = weights[r]
+
+    where S moves the samples cyclically, S(x)[i] = x[i - shift].  Each
+    product and sum is one rounded float operation in that order, so the
+    result is bit-identical to the direct 4-tap filter.
+
+    Rows go in strips of about _STRIP elements.  A strip that is not
+    contiguous (a phase view) is first copied into a contiguous buffer,
+    and a strided output is filled from a contiguous accumulator, so every
+    pass is one flat loop.  On the flat strip S is a shift by one row
+    (axis 0) or one element (axis 1); that gets one edge wrong, the row
+    that comes from outside the strip or the column that wraps within each
+    row, and the edge is written after the shift.
+    """
+    rows, cols = a.shape
+    height = max(1, _STRIP // cols)
+    stage_a, stage_b, acc, scratch = (np.empty((min(height, rows), cols))
+                                      for _ in range(4))
+    d = cols if axis == 0 else 1
+    src, dst = ((slice(d, None), slice(None, -d)) if shift < 0
+                else (slice(None, -d), slice(d, None)))
+    lead, tail = (0, -1) if shift < 0 else (-1, 0)
+    for r0 in range(0, rows, height):
+        r1 = min(r0 + height, rows)
+        m = r1 - r0
+        outside = (r1 if shift < 0 else r0 - 1) % rows
+        sa = _contiguous(a[r0:r1], stage_a[:m])
+        sb = _contiguous(b[r0:r1], stage_b[:m])
+        t = scratch[:m]
+        for out, (c0, c1, c2, c3) in zip(outs, weights):
+            o = out[r0:r1]
+            o_acc = o if o.flags.c_contiguous else acc[:m]
+            np.multiply(sa, c0, out=o_acc)
+            np.multiply(sb, c1, out=t)
+            o_acc += t
+            for x, sx, c in ((a, sa, c2), (b, sb, c3)):
+                np.multiply(sx.ravel()[src], c, out=t.ravel()[dst])
+                if axis == 0:
+                    np.multiply(x[outside], c, out=t[tail])
+                else:
+                    np.multiply(sx[:, lead], c, out=t[:, tail])
+                o_acc += t
+            if o_acc is not o:
+                o[...] = o_acc
 
 
-def _synthesize_axis(low, high, axis):
-    """Adjoint of _analyze_axis: merge half-size (low, high) along `axis`."""
-    even, odd = _step(np.moveaxis(low, axis, -1), np.moveaxis(high, axis, -1),
-                      _A0.T, _A1.T, 1)
-    x = np.stack((even, odd), axis=-1).reshape(*even.shape[:-1], -1)
-    return np.moveaxis(x, -1, axis)
+def _contiguous(x, stage):
+    """x itself if C-contiguous, else its copy in `stage`."""
+    if x.flags.c_contiguous:
+        return x
+    stage[...] = x
+    return stage
 
 
 def dwt2(img, levels):
@@ -95,9 +151,13 @@ def dwt2(img, levels):
     detail = {}
     approx = img
     for l in range(1, levels + 1):
-        lo_x, hi_x = _analyze_axis(approx, axis=1)
-        approx, detail[("h", l)] = _analyze_axis(lo_x, axis=0)
-        detail[("v", l)], detail[("d", l)] = _analyze_axis(hi_x, axis=0)
+        h, w = approx.shape
+        lo_x, hi_x = np.empty((h, w // 2)), np.empty((h, w // 2))
+        _step(*_phases(approx, 1), _ANALYSIS, 1, -1, (lo_x, hi_x))
+        approx, *bands = (np.empty((h // 2, w // 2)) for _ in range(4))
+        _step(*_phases(lo_x, 0), _ANALYSIS, 0, -1, (approx, bands[0]))
+        _step(*_phases(hi_x, 0), _ANALYSIS, 0, -1, bands[1:])
+        detail.update(((s, l), band) for s, band in zip(ORIENTATIONS, bands))
     return WaveletPyramid(levels=levels, detail=detail, approx=approx)
 
 
@@ -113,8 +173,11 @@ def idwt2(pyr):
             raise ValueError(
                 f"inconsistent subband shapes at level {l}: "
                 f"approx {approx.shape}, h {h.shape}, v {v.shape}, d {d.shape}")
-        lo_x = _synthesize_axis(approx, h, axis=0)
-        hi_x = _synthesize_axis(v, d, axis=0)
-        approx = _synthesize_axis(lo_x, hi_x, axis=1)
+        rows, cols = approx.shape
+        lo_x, hi_x = np.empty((2 * rows, cols)), np.empty((2 * rows, cols))
+        _step(approx, h, _SYNTHESIS, 0, 1, _phases(lo_x, 0))
+        _step(v, d, _SYNTHESIS, 0, 1, _phases(hi_x, 0))
+        approx = np.empty((2 * rows, 2 * cols))
+        _step(lo_x, hi_x, _SYNTHESIS, 1, 1, _phases(approx, 1))
     return approx
 

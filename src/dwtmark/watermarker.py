@@ -98,12 +98,13 @@ def embed(pyr, wm, cfg):
     thresholds = compute_thresholds(pyr, cfg)
     report = EmbedReport()
     detail = dict(pyr.detail)
+    plane = 1.0 + cfg.mod_sign * cfg.alpha * wm
     for key, t in thresholds.items():
         band = pyr.detail[key]
+        rows, cols = band.shape
         mask = np.abs(band) > t
-        b = wm.ravel()[_bit_index(band.shape)]
-        factor = 1.0 + cfg.mod_sign * cfg.alpha * b
-        detail[key] = np.where(mask, band * factor, band)
+        factor = np.tile(plane, (-(-rows // WM_SIZE), -(-cols // WM_SIZE)))
+        detail[key] = np.where(mask, band * factor[:rows, :cols], band)
         report.modified[key] = int(mask.sum())
     out = WaveletPyramid(levels=pyr.levels, detail=detail, approx=pyr.approx)
     return out, report

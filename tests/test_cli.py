@@ -115,6 +115,30 @@ def test_attack_seeded_determinism(workdir):
     assert (workdir / "a1.pgm").read_bytes() == (workdir / "a2.pgm").read_bytes()
 
 
+NON_FINITE_SPECS = pytest.mark.parametrize(
+    "spec", ["awgn:snr_db=-4000", "add_noise:amount=1e308"],
+    ids=["awgn_overflow", "add_noise_nan"])
+
+
+@NON_FINITE_SPECS
+def test_attack_non_finite_result_fails(workdir, capsys, spec):
+    out = workdir / "att.pgm"
+    assert main(["attack", str(workdir / "cover.pgm"), str(out), spec]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@NON_FINITE_SPECS
+def test_bench_non_finite_result_is_error_row(workdir, spec):
+    rc = main(["bench", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
+               "--attacks", f"median;{spec}", "--out", str(workdir / "r.json")])
+    assert rc == 0
+    rows = json.loads((workdir / "r.json").read_text())["attacks"]
+    assert "detectors" in rows[0]
+    assert "non-finite" in rows[1]["error"]
+    assert "detectors" not in rows[1]
+
+
 def test_bench_full_report_structure(workdir):
     rc = main(["bench", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
                "--seed", "3", "--out", str(workdir / "report.json")])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dwtmark import dwt
 from dwtmark.dwt import ORIENTATIONS, WaveletPyramid, db2_filters, dwt2, idwt2
 
 
@@ -71,22 +72,48 @@ def test_level1_matches_brute_force_oracle(shape):
     assert np.abs(pyr.detail[("d", 1)] - dband).max() < 1e-12
 
 
-# sha256 of the dwt2 coefficient bytes (approx, then each detail band by
-# level and orientation) and of the idwt2 output for a fixed 64x48 input
-# at 3 levels; any change in float rounding shows up here
-GOLDEN_DWT2 = "a1f6d8c6dc32a9af0fd89f61c85a8d692940887be15dc8112a9f8f1cb9d56a98"
-GOLDEN_IDWT2 = "9bade406fd169f51cfe22ab8c76b38fa4fc4042da4f7bf0c44005d077aa51432"
-
-
-def test_golden_bytes():
-    img = np.random.default_rng(2012).uniform(0, 255, (64, 48))
-    pyr = dwt2(img, 3)
-    digest = hashlib.sha256(pyr.approx.tobytes())
-    for l in (1, 2, 3):
+def band_bytes(pyr):
+    """The dwt2 coefficient bytes: approx, then each detail band by level
+    and orientation."""
+    parts = [pyr.approx.tobytes()]
+    for l in range(1, pyr.levels + 1):
         for s in ORIENTATIONS:
-            digest.update(pyr.detail[(s, l)].tobytes())
-    assert digest.hexdigest() == GOLDEN_DWT2
-    assert hashlib.sha256(idwt2(pyr).tobytes()).hexdigest() == GOLDEN_IDWT2
+            parts.append(pyr.detail[(s, l)].tobytes())
+    return b"".join(parts)
+
+
+# sha256 of band_bytes and of the idwt2 output for fixed inputs at 3 levels,
+# recorded from the direct 4-tap filters; any change in float rounding shows
+# up here.  512x384 spans several row strips of the DWT kernel, 64x48 one.
+@pytest.mark.parametrize("shape, golden_dwt2, golden_idwt2", [
+    ((64, 48),
+     "a1f6d8c6dc32a9af0fd89f61c85a8d692940887be15dc8112a9f8f1cb9d56a98",
+     "9bade406fd169f51cfe22ab8c76b38fa4fc4042da4f7bf0c44005d077aa51432"),
+    ((512, 384),
+     "738aeedbba932fd99c7c1fafc3423da92c0bafa335a391111aa18e1b8e8a8b47",
+     "b57daafc764cb0ccafa77ca2723244075d9aa9a557767fc22dc4e0003478af8b"),
+], ids=["64x48", "512x384"])
+def test_golden_bytes(shape, golden_dwt2, golden_idwt2):
+    img = np.random.default_rng(2012).uniform(0, 255, shape)
+    pyr = dwt2(img, 3)
+    assert hashlib.sha256(band_bytes(pyr)).hexdigest() == golden_dwt2
+    assert hashlib.sha256(idwt2(pyr).tobytes()).hexdigest() == golden_idwt2
+
+
+# one row per strip; strips of 1000 elements, which leave a ragged last
+# strip along both axes of both shapes; one strip for the whole image
+@pytest.mark.parametrize("strip", [1, 1000, 1 << 30],
+                         ids=["one_row", "ragged", "whole"])
+@pytest.mark.parametrize("shape", [(96, 80), (1024, 64)],
+                         ids=["96x80", "1024x64"])
+def test_strip_size_invariance(monkeypatch, shape, strip):
+    img = np.random.default_rng(17).uniform(0, 255, shape)
+    pyr = dwt2(img, 3)
+    expected = band_bytes(pyr), idwt2(pyr).tobytes()
+    monkeypatch.setattr(dwt, "_STRIP", strip)
+    pyr = dwt2(img, 3)
+    assert band_bytes(pyr) == expected[0]
+    assert idwt2(pyr).tobytes() == expected[1]
 
 
 def test_pyramid_structure_256():

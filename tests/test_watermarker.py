@@ -133,6 +133,26 @@ class TestEmbed:
         for key, t in th.items():
             assert report.modified[key] == int((np.abs(pyr.detail[key]) > t).sum())
 
+    @pytest.mark.parametrize("modulation", ["negative", "positive"])
+    def test_matches_loop_oracle_on_ragged_bands(self, modulation):
+        # a 40x24 cover gives 20x12 and 10x6 bands, sides that are not
+        # multiples of the 16x16 mark, so the mark tiles only partly
+        cover = np.random.default_rng(6).uniform(0, 255, (40, 24))
+        cfg = EmbedConfig(levels=2, q=(0.06, 0.04), modulation=modulation)
+        wm = random_mark(6)
+        pyr = dwt2(cover, 2)
+        out, _ = embed(pyr, wm, cfg)
+        s = cfg.mod_sign
+        for (o, l), c in pyr.detail.items():
+            t = cfg.q[l - 1] * np.abs(c).max()
+            expected = c.copy()
+            for m in range(c.shape[0]):
+                for n in range(c.shape[1]):
+                    if abs(c[m, n]) > t:
+                        expected[m, n] = c[m, n] * (
+                            1.0 + s * cfg.alpha * wm[m % 16, n % 16])
+            assert out.detail[(o, l)].tobytes() == expected.tobytes()
+
 
 CFG_SMALL = EmbedConfig(levels=2, q=(0.06, 0.04))
 
