@@ -1,9 +1,12 @@
 """Channel attack catalog: deterministic image impairments.
 
 Every attack quantizes its input to 8-bit first (it models an image that
-was saved and transmitted) and returns an 8-bit-valued image of the same
-size.  Noise attacks draw from a seeded position-indexed generator, so a
-given (spec, seed) is bit-reproducible.
+was saved and transmitted; a NaN or infinite pixel is rejected) and
+returns an 8-bit-valued image of the same size.  The 3x3 median, erosion
+and dilation are min/max networks on those 8-bit values, so they are
+exact: there is no arithmetic to round.  Noise attacks draw from a
+seeded position-indexed generator, so a given (spec, seed) is
+bit-reproducible.
 
 Specs serialize as ``kind:key=value,key=value`` strings, e.g. ``jpeg:q=50``
 or ``awgn:snr_db=11.4,seed=7``.
@@ -11,12 +14,13 @@ or ``awgn:snr_db=11.4,seed=7``.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import fft as sfft
 from scipy import ndimage
 
-from .pixmap import quantize
+from .pixmap import finite_image, quantize
 
 
 class AttackSpecError(ValueError):
@@ -31,14 +35,8 @@ class AttackSpec:
     def __str__(self):
         if not self.params:
             return self.kind
-        args = ",".join(f"{k}={_fmt(v)}" for k, v in sorted(self.params.items()))
+        args = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"{self.kind}:{args}"
-
-
-def _fmt(v):
-    if isinstance(v, float) and v == int(v):
-        return f"{v:.1f}"
-    return str(v)
 
 
 def parse_spec(text):
@@ -87,7 +85,7 @@ def apply_attack(img, spec, default_seed=0):
     params.update(spec.params)
     for key, value in params.items():
         _checked(spec.kind, key, value)
-    img = quantize(np.asarray(img, dtype=np.float64))
+    img = quantize(finite_image(img, "input"))
     try:
         # an overflow or NaN on the way shows in the result, checked below
         with np.errstate(all="ignore"):
@@ -108,8 +106,81 @@ def apply_attack(img, spec, default_seed=0):
 
 # --- pixel-domain attacks ---------------------------------------------------
 
+# elements per strip of the 3x3 rank filters: a strip's uint8 buffer and
+# the few temporaries of its kernel stay in L2 cache
+_STRIP = 1 << 17
+
+
+def _rank3x3(img, kernel):
+    """Run a 3x3 rank kernel over an 8-bit-valued image, edge-replicated.
+
+    The image is worked through in row strips.  Each strip is copied, as
+    uint8, into a buffer with one replicated row above and below and one
+    replicated column left and right (min and max do no arithmetic, so
+    uint8 gives the same values as float64 on integers in [0, 255]).
+    Flattened, the buffer's rows above, at and below the strip are three
+    contiguous slices; `kernel(above, centre, below, out)` combines them
+    and fills `out`, whose element k is the window centred on flat element
+    k + 1 of the centre slice, so the padding columns' outputs are dropped.
+    """
+    h, w = img.shape
+    stride = w + 2
+    rows = max(1, _STRIP // stride)
+    out = np.empty_like(img)
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        n = r1 - r0
+        buf = np.empty((n + 2, stride), dtype=np.uint8)
+        buf[1:-1, 1:-1] = img[r0:r1]
+        buf[0, 1:-1] = img[max(r0 - 1, 0)]
+        buf[-1, 1:-1] = img[min(r1, h - 1)]
+        buf[:, 0] = buf[:, 1]
+        buf[:, -1] = buf[:, -2]
+        flat = buf.ravel()
+        res = np.empty(n * stride, dtype=np.uint8)
+        kernel(flat[:n * stride], flat[stride:(n + 1) * stride],
+               flat[2 * stride:], res[:-2])
+        out[r0:r1] = res.reshape(n, stride)[:, :w]
+    return out
+
+
+def _across(op, x, out=None):
+    """op over each element of a flat strip and its next two neighbours."""
+    out = op(x[:-2], x[1:-1], out=out)
+    return op(out, x[2:], out=out)
+
+
+def _med3(a, b, c, out=None):
+    """Elementwise median of three: max(min(a, b), min(max(a, b), c))."""
+    low = np.minimum(a, b, out=out)
+    return np.maximum(low, np.minimum(np.maximum(a, b), c), out=low)
+
+
+def _median9(above, centre, below, out):
+    """3x3 median by Paeth's 19-exchange median-of-9 network.
+
+    The network's first nine exchanges sort the window's three column
+    triples; each triple is shared by three neighbouring windows, so it
+    is sorted once here.  The median is then the median of the largest
+    low, the median of the middles and the smallest high of the window's
+    three columns.
+    """
+    lo = np.minimum(above, centre)
+    hi = np.maximum(above, centre)
+    mid = np.minimum(hi, below)
+    np.maximum(hi, below, out=hi)
+    lo, mid = np.minimum(lo, mid), np.maximum(lo, mid)
+    _med3(_across(np.maximum, lo), _med3(mid[:-2], mid[1:-1], mid[2:]),
+          _across(np.minimum, hi), out)
+
+
+def _extreme9(op, above, centre, below, out):
+    """3x3 minimum or maximum (op), separably: columns, then rows."""
+    _across(op, op(op(above, centre), below), out)
+
+
 def _median(img):
-    return ndimage.median_filter(img, size=3, mode="nearest")
+    return _rank3x3(img, _median9)
 
 
 def _lpf(img):
@@ -198,11 +269,11 @@ def _rescale(img):
 
 
 def _erode(img):
-    return ndimage.grey_erosion(img, size=(3, 3), mode="nearest")
+    return _rank3x3(img, partial(_extreme9, np.minimum))
 
 
 def _dilate(img):
-    return ndimage.grey_dilation(img, size=(3, 3), mode="nearest")
+    return _rank3x3(img, partial(_extreme9, np.maximum))
 
 
 def _gamma(img, g):
@@ -267,11 +338,20 @@ def jpeg_codec(img, quality):
         raise AttackSpecError(f"jpeg needs dimensions divisible by 8, got {h}x{w}")
     qt = quality_table(int(quality))
     blocks = img.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3) - 128.0
-    coefs = sfft.dctn(blocks, type=2, norm="ortho", axes=(2, 3))
-    levels = np.sign(coefs) * np.floor(np.abs(coefs) / qt + 0.5)
-    rec = sfft.idctn(levels * qt, type=2, norm="ortho", axes=(2, 3)) + 128.0
-    out = rec.transpose(0, 2, 1, 3).reshape(h, w)
-    return quantize(out)
+    coefs = sfft.dctn(blocks, type=2, norm="ortho", axes=(2, 3),
+                      overwrite_x=True)
+    # sign(c) * floor(|c| / qt + 0.5) * qt, in place: the same rounded
+    # operations with fewer full-size temporaries
+    levels = np.abs(coefs)
+    levels /= qt
+    levels += 0.5
+    np.floor(levels, out=levels)
+    levels *= np.sign(coefs)
+    levels *= qt
+    rec = sfft.idctn(levels, type=2, norm="ortho", axes=(2, 3),
+                     overwrite_x=True)
+    rec += 128.0
+    return quantize(rec.transpose(0, 2, 1, 3).reshape(h, w))
 
 
 def _jpeg(img, q):

@@ -1,8 +1,9 @@
 """Command-line front end: embed, extract, attack, and a bench harness.
 
 The bench command embeds once, runs the attack catalog against the
-watermarked image, decomposes the cover and each attacked image once,
-decodes every requested detector from that image's one vote tally and
+watermarked image, builds the cover's vote reference once, decomposes
+each attacked image once and tallies it against that reference, decodes
+every requested detector from that image's one vote tally and
 writes a JSON report (plus a CSV when a JPEG quality sweep is requested).
 Reports are deterministic for a given (inputs, flags, seed).
 """
@@ -22,7 +23,7 @@ from .dwt import dwt2
 from .pixmap import (quantize, read_image, read_watermark, write_image,
                      write_watermark)
 from .watermarker import (EmbedConfig, decode, embed_image, extract_image,
-                          extract_votes, parse_detector)
+                          parse_detector, tally_votes, vote_reference)
 
 REPORT_VERSION = 1
 SEED_ENV = "DWTMARK_SEED"
@@ -65,6 +66,16 @@ def _default_seed(args):
     return seed
 
 
+def _detector(text, cfg):
+    """parse_detector(text), refusing a subband deeper than cfg.levels."""
+    detector = parse_detector(text)
+    for s, l in detector:
+        if l > cfg.levels:
+            raise ValueError(f"detector subband {s}{l} is deeper than "
+                             f"--levels {cfg.levels}")
+    return detector
+
+
 def cmd_embed(args):
     cover = read_image(args.cover)
     wm = read_watermark(args.watermark)
@@ -77,10 +88,10 @@ def cmd_embed(args):
 
 
 def cmd_extract(args):
+    cfg = _config_from_args(args)
+    detector = _detector(args.detector, cfg)
     cover = read_image(args.cover)
     received = read_image(args.received)
-    cfg = _config_from_args(args)
-    detector = parse_detector(args.detector)
     est = extract_image(cover, received, cfg, detector)
     write_watermark(est, args.out)
     if args.truth:
@@ -127,27 +138,27 @@ def cmd_bench(args):
         raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
     qualities = _sweep_qualities(args)
     seed = _default_seed(args)
-    detectors = {name.strip(): parse_detector(name)
-                 for name in args.detectors.split(",")}
     cfg = _config_from_args(args)
+    detectors = {name.strip(): _detector(name, cfg)
+                 for name in args.detectors.split(",")}
     cover = read_image(args.cover)
     wm = read_watermark(args.watermark)
 
     marked, embed_report = embed_image(cover, wm, cfg)
     transmitted = quantize(marked)
-    cover_pyr = dwt2(cover, cfg.levels)
+    reference = vote_reference(dwt2(cover, cfg.levels), cfg)
 
     def score(spec_text, repeat):
         """Detector name -> (BERs, NCCs) over `repeat` seeded trials.
 
-        Each attacked image is decomposed and tallied once; every detector
-        decodes from that one tally.
+        Each attacked image is decomposed and tallied once against the
+        cover reference; every detector decodes from that one tally.
         """
         spec = parse_spec(spec_text)
         runs = {name: ([], []) for name in sorted(detectors)}
         for rep_i in range(repeat):
             attacked = apply_attack(transmitted, spec, default_seed=seed + rep_i)
-            tallies = extract_votes(cover_pyr, dwt2(attacked, cfg.levels), cfg)
+            tallies = tally_votes(reference, dwt2(attacked, cfg.levels))
             for name, (bers, nccs) in runs.items():
                 est = decode(tallies, detectors[name])
                 bers.append(metrics.ber(wm, est))

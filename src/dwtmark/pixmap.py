@@ -20,7 +20,11 @@ class FormatError(ValueError):
 
 def quantize(img):
     """Clamp to [0, 255] and round half-up to the nearest integer."""
-    return np.floor(np.clip(img, 0.0, 255.0) + 0.5)
+    # one new array, updated in place: a second full-size temporary
+    # costs more than the arithmetic
+    out = np.asarray(np.clip(img, 0.0, 255.0))
+    out += 0.5
+    return np.floor(out, out=out)
 
 
 def _tokens(data):

@@ -15,6 +15,7 @@ so decoding is deterministic.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,11 +83,10 @@ def compute_thresholds(pyr, cfg):
     return thresholds
 
 
-def _bit_index(shape):
-    """Flat mark position (m mod 16)*16 + (n mod 16) of each coefficient."""
-    rows = np.arange(shape[0]) % WM_SIZE
-    cols = np.arange(shape[1]) % WM_SIZE
-    return rows[:, None] * WM_SIZE + cols[None, :]
+def _bit_index(positions, cols):
+    """Mark position (m mod 16)*16 + (n mod 16) of flat band positions."""
+    m, n = np.divmod(positions, cols)
+    return m % WM_SIZE * WM_SIZE + n % WM_SIZE
 
 
 def embed(pyr, wm, cfg):
@@ -110,38 +110,69 @@ def embed(pyr, wm, cfg):
     return out, report
 
 
-def extract_votes(cover_pyr, received_pyr, cfg):
+class BandReference(NamedTuple):
+    """One subband's qualifying cover coefficients (read-only arrays)."""
+    shape: tuple
+    positions: np.ndarray   # flat positions in the band
+    values: np.ndarray      # cover coefficients c there
+    signs: np.ndarray       # mod_sign * sgn(c), as +-1 integers
+    bits: np.ndarray        # mark bit position of each
+
+
+def vote_reference(cover_pyr, cfg):
+    """The cover side of extraction, computed once per cover.
+
+    Thresholds come from the cover.  A coefficient qualifies when |c| > T
+    (c is then necessarily nonzero).  Returns dict (s, l) ->
+    BandReference; its arrays are read-only, so one reference serves
+    any number of received pyramids.
+    """
+    reference = {}
+    for key, t in compute_thresholds(cover_pyr, cfg).items():
+        c = cover_pyr.detail[key]
+        positions = np.flatnonzero(np.abs(c) > t)
+        values = c.ravel()[positions]
+        signs = np.where(values > 0, 1, -1) * int(cfg.mod_sign)
+        band = BandReference(c.shape, positions, values, signs,
+                             _bit_index(positions, c.shape[1]))
+        for array in band[1:]:
+            array.flags.writeable = False
+        reference[key] = band
+    return reference
+
+
+def tally_votes(reference, received_pyr):
     """Tally per-subband sign votes for each of the 256 bit positions.
 
-    Thresholds are recomputed from the cover.  A coefficient qualifies
-    when |c| > T (c is then necessarily nonzero); its raw vote is
-    sgn((c' - c) / c), sign-corrected for the modulation so that a clean
-    roundtrip recovers the embedded bit.  Zero ratios abstain.
+    Each qualifying coefficient's raw vote is sgn((c' - c) / c) ==
+    sgn(c' - c) * sgn(c), sign-corrected for the modulation so that a
+    clean roundtrip recovers the embedded bit.  Zero differences abstain.
 
     Returns dict (s, l) -> int array of shape (2, 16, 16): [0] counts of
     +1 votes, [1] counts of -1 votes.
     """
-    thresholds = compute_thresholds(cover_pyr, cfg)
+    n = WM_SIZE * WM_SIZE
     tallies = {}
-    for key, t in thresholds.items():
-        c = cover_pyr.detail[key]
+    for key, band in reference.items():
         try:
             c_recv = received_pyr.detail[key]
         except KeyError:
             raise ValueError(f"received pyramid is missing subband {key}") from None
-        if c_recv.shape != c.shape:
+        if c_recv.shape != band.shape:
             raise ValueError(
-                f"subband {key} shape mismatch: cover {c.shape}, "
+                f"subband {key} shape mismatch: cover {band.shape}, "
                 f"received {c_recv.shape}")
-        qualifying = (np.abs(c) > t) & (c != 0.0)
-        # sgn((c'-c)/c) == sgn(c'-c) * sgn(c); correct the sign so the
-        # estimate equals b on a clean channel
-        vote = cfg.mod_sign * np.sign(c_recv - c) * np.sign(c)
-        idx = _bit_index(c.shape)
-        counts = [np.bincount(idx[qualifying & side], minlength=WM_SIZE * WM_SIZE)
-                  for side in (vote > 0, vote < 0)]
-        tallies[key] = np.stack(counts).reshape(2, WM_SIZE, WM_SIZE)
+        diff = c_recv.ravel()[band.positions] - band.values
+        vote = ((diff > 0).astype(np.intp) - (diff < 0)) * band.signs
+        # planes 0, 1, 2 count the +1 votes, abstentions and -1 votes
+        counts = np.bincount(band.bits + n * (1 - vote), minlength=3 * n)
+        tallies[key] = counts.reshape(3, WM_SIZE, WM_SIZE)[::2]
     return tallies
+
+
+def extract_votes(cover_pyr, received_pyr, cfg):
+    """Per-subband sign-vote tallies of received_pyr against the cover."""
+    return tally_votes(vote_reference(cover_pyr, cfg), received_pyr)
 
 
 def decode(tallies, detector):
@@ -199,7 +230,12 @@ def parse_detector(text):
         if len(item) < 2 or item[0] not in ORIENTATIONS or not item[1:].isdigit():
             raise ValueError(
                 f"bad detector subband {item!r} (want e.g. h2, v3, or I/II)")
-        pairs.append((item[0], int(item[1:])))
+        pair = (item[0], int(item[1:]))
+        if pair[1] < 1:
+            raise ValueError(f"bad detector subband {item!r} (levels start at 1)")
+        if pair in pairs:
+            raise ValueError(f"detector names subband {item!r} twice")
+        pairs.append(pair)
     if not pairs:
         raise ValueError("empty detector structure")
     return tuple(pairs)

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from dwtmark import attacks
 from dwtmark.attacks import (CATALOG, DEFAULT_BENCH, AttackSpec,
                              AttackSpecError, apply_attack, jpeg_codec,
                              parse_spec, quality_table)
@@ -63,6 +65,20 @@ class TestSpecParsing:
 
     def test_str_roundtrip(self):
         spec = parse_spec("range_map:low=10,up=200")
+        assert parse_spec(str(spec)) == spec
+
+    @pytest.mark.parametrize("text, want", [
+        ("add_noise:amount=1e308", "add_noise:amount=1e+308"),
+        ("awgn:snr_db=1e16", "awgn:snr_db=1e+16"),
+        ("gamma:g=2", "gamma:g=2.0"),
+        ("sharpen:lam=0.5", "sharpen:lam=0.5"),
+        ("jpeg:q=50", "jpeg:q=50"),
+    ])
+    def test_str_stays_short_and_roundtrips(self, text, want):
+        # a big float must not print as its full decimal expansion
+        spec = parse_spec(text)
+        assert str(spec) == want
+        assert len(str(spec)) <= 32
         assert parse_spec(str(spec)) == spec
 
 
@@ -138,6 +154,15 @@ class TestCatalogSemantics:
         for r in range(6):
             for c in range(6):
                 assert out[r, c] == padded[r:r + 3, c:c + 3].min()
+
+    def test_dilate_matches_loop_oracle(self):
+        rng = np.random.default_rng(3)
+        img = np.floor(rng.random((6, 7)) * 256)
+        out = apply_attack(img, parse_spec("dilate"))
+        padded = np.pad(img, 1, mode="edge")
+        for r in range(6):
+            for c in range(7):
+                assert out[r, c] == padded[r:r + 3, c:c + 3].max()
 
     def test_range_map_default_bounds(self, lena_like):
         out = apply_attack(lena_like, parse_spec("range_map"))
@@ -224,6 +249,43 @@ class TestCatalogSemantics:
         monkeypatch.setitem(CATALOG, "crop_half", (lambda img: img[:-1], {}))
         with pytest.raises(ValueError, match="shape"):
             apply_attack(lena_like, AttackSpec(kind="crop_half"))
+
+
+# oracles: scipy's generic rank filters with the same edge handling
+RANK_ORACLES = {
+    "median": lambda img: ndimage.median_filter(img, size=3, mode="nearest"),
+    "erode": lambda img: ndimage.grey_erosion(img, size=(3, 3), mode="nearest"),
+    "dilate": lambda img: ndimage.grey_dilation(img, size=(3, 3),
+                                                mode="nearest"),
+}
+
+
+@pytest.mark.parametrize("strip", ["default", "one_row", "ragged"])
+@pytest.mark.parametrize("shape", [(1, 40), (50, 1), (2, 3), (37, 300),
+                                   (301, 257)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("kind", sorted(RANK_ORACLES))
+def test_rank_filters_match_scipy(monkeypatch, kind, shape, strip):
+    if strip == "one_row":
+        monkeypatch.setattr(attacks, "_STRIP", 1)
+    elif strip == "ragged":
+        # 8 rows per strip: every shape above with more rows ends short
+        monkeypatch.setattr(attacks, "_STRIP", 8 * (shape[1] + 2) + 1)
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    img = rng.integers(0, 256, shape).astype(np.float64)
+    img.flat[:2] = (0.0, 255.0)
+    impl, _ = CATALOG[kind]
+    got = impl(img)
+    want = RANK_ORACLES[kind](img)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_non_finite_input_rejected():
+    img = np.full((16, 16), 100.0)
+    img[3, 4] = np.nan
+    for kind in ("median", "erode", "invert"):
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_attack(img, parse_spec(kind))
 
 
 class TestJpeg:

@@ -264,6 +264,28 @@ def test_bench_golden_bytes(tmp_path, monkeypatch, lena_like, mark):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
+# the same for every DEFAULT_BENCH row and a nine-point JPEG sweep,
+# recorded before median/erode/dilate and the vote tally were rewritten
+GOLDEN_FULL_SHA256 = {
+    "report.json":
+        "d9d514430c9b5350805cd7c27918c1d37a57c824e59d8d936b675cbbfa612747",
+    "report_sweep.csv":
+        "35b9fcb41f68436a303befb7d4cacbf30bcdf4438fa2ad00a32b2f6209e613b9",
+}
+
+
+def test_full_default_bench_golden_bytes(tmp_path, monkeypatch, lena_like,
+                                         mark):
+    monkeypatch.chdir(tmp_path)
+    write_image(lena_like, "cover.pgm")
+    write_watermark(mark, "mark.pbm")
+    rc = main(["bench", "cover.pgm", "mark.pbm", "--seed", "5",
+               "--jpeg-sweep", "10..90"])
+    assert rc == 0
+    for name, digest in GOLDEN_FULL_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--repeat", "0"], "--repeat must be >= 1"),
     (["--jpeg-sweep", "10..30", "--jpeg-sweep-step", "0"],
@@ -271,7 +293,11 @@ def test_bench_golden_bytes(tmp_path, monkeypatch, lena_like, mark):
     (["--jpeg-sweep", "0..10"], "1 <= LO <= HI <= 100"),
     (["--jpeg-sweep", "90..101"], "1 <= LO <= HI <= 100"),
     (["--seed", "-1"], "seed must be >= 0"),
-], ids=["repeat", "sweep_step", "sweep_low", "sweep_high", "seed"])
+    (["--detectors", "I,d9"], "d9 is deeper than --levels 3"),
+    (["--levels", "2", "--detectors", "II"], "v3 is deeper than --levels 2"),
+    (["--detectors", "h0"], "levels start at 1"),
+], ids=["repeat", "sweep_step", "sweep_low", "sweep_high", "seed",
+        "detector_level", "detector_levels_flag", "detector_level_zero"])
 def test_bench_rejects_bad_flags_before_work(workdir, capsys, monkeypatch,
                                              flags, message):
     def no_work(*_):
@@ -282,6 +308,23 @@ def test_bench_rejects_bad_flags_before_work(workdir, capsys, monkeypatch,
     assert rc == 1
     assert message in capsys.readouterr().err
     assert not (workdir / "r.json").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--detector", "h4"], "h4 is deeper than --levels 3"),
+    (["--detector", "v2", "--levels", "1"], "v2 is deeper than --levels 1"),
+    (["--detector", "h2,h2,v3"], "twice"),
+])
+def test_extract_rejects_bad_detector_before_work(workdir, capsys, monkeypatch,
+                                                  flags, message):
+    def no_work(*_):
+        raise AssertionError("extract read its inputs before checking flags")
+    monkeypatch.setattr(cli, "read_image", no_work)
+    rc = main(["extract", str(workdir / "cover.pgm"), str(workdir / "cover.pgm"),
+               str(workdir / "est.pbm"), *flags])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (workdir / "est.pbm").exists()
 
 
 def test_round6_rejects_nan():

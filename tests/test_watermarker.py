@@ -6,7 +6,7 @@ from dwtmark.dwt import ORIENTATIONS, WaveletPyramid, dwt2
 from dwtmark.watermarker import (DETECTOR_I, DETECTOR_II, EmbedConfig,
                                  compute_thresholds, decode, embed,
                                  embed_image, extract_image, extract_votes,
-                                 parse_detector)
+                                 parse_detector, tally_votes, vote_reference)
 from conftest import random_mark
 
 CFG = EmbedConfig()
@@ -200,6 +200,43 @@ class TestExtract:
         with pytest.raises(ValueError, match="mismatch"):
             extract_votes(a, b, CFG_SMALL)
 
+    @pytest.mark.parametrize("modulation", ["negative", "positive"])
+    def test_reused_reference_matches_recount_oracle(self, modulation):
+        cfg = EmbedConfig(levels=2, q=(0.06, 0.04), modulation=modulation)
+        rng = np.random.default_rng(9)
+        pyr = small_pyramid(rng)
+        marked, _ = embed(pyr, random_mark(9), cfg)
+        reference = vote_reference(pyr, cfg)
+        saved = {key: [np.copy(a) for a in band[1:]]
+                 for key, band in reference.items()}
+        noisy = {k: v + rng.normal(0, 4.0, v.shape)
+                 for k, v in marked.detail.items()}
+        # zeroed coefficients: a received value of 0 against a nonzero c
+        zeroed = {k: np.where(rng.random(v.shape) < 0.3, 0.0, v)
+                  for k, v in marked.detail.items()}
+        for detail in (marked.detail, noisy, zeroed, pyr.detail):
+            received = WaveletPyramid(levels=2, detail=detail,
+                                      approx=marked.approx)
+            got = tally_votes(reference, received)
+            want = recount_votes(pyr, received, cfg)
+            assert got.keys() == want.keys()
+            for key in want:
+                assert (got[key] == want[key]).all()
+        for key, band in reference.items():
+            for array, before in zip(band[1:], saved[key]):
+                assert not array.flags.writeable
+                assert array.tobytes() == before.tobytes()
+
+    def test_tally_rejects_missing_and_mismatched_subbands(self):
+        rng = np.random.default_rng(10)
+        pyr = small_pyramid(rng, size=32)
+        reference = vote_reference(pyr, CFG_SMALL)
+        with pytest.raises(ValueError, match="mismatch"):
+            tally_votes(reference, small_pyramid(rng, size=64))
+        one_level = small_pyramid(rng, size=32, levels=1)
+        with pytest.raises(ValueError, match=r"missing subband \('h', 2\)"):
+            tally_votes(reference, one_level)
+
 
 class TestDecode:
     def _tally(self, plus, minus):
@@ -323,3 +360,15 @@ class TestConfig:
         assert parse_detector("h2,v2,v3") == (("h", 2), ("v", 2), ("v", 3))
         with pytest.raises(ValueError, match="detector"):
             parse_detector("x9")
+
+    @pytest.mark.parametrize("text, message", [
+        ("h2,h2,v3", "twice"),
+        ("h2,v02,v2", "twice"),
+        ("h0", "levels start at 1"),
+        ("v3,d0", "levels start at 1"),
+    ])
+    def test_parse_detector_rejects_duplicates_and_level_zero(self, text,
+                                                             message):
+        # a repeated subband would count its verdict twice in decode
+        with pytest.raises(ValueError, match=message):
+            parse_detector(text)
