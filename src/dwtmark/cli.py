@@ -1,9 +1,10 @@
 """Command-line front end: embed, extract, attack, and a bench harness.
 
-The bench command embeds once, runs the attack catalog against the
-watermarked image, builds the cover's vote reference once, decomposes
-each attacked image once and tallies it against that reference, decodes
-every requested detector from that image's one vote tally and
+The bench command analyses the cover once: embedding returns the cover's
+vote reference, its one significance map.  It runs the attack catalog
+against the watermarked image, decomposes each attacked image once and
+tallies it against that reference, decodes every requested detector
+(`--detectors`, ';'-separated) from that image's one vote tally and
 writes a JSON report (plus a CSV when a JPEG quality sweep is requested).
 Reports are deterministic for a given (inputs, flags, seed).
 """
@@ -23,7 +24,7 @@ from .dwt import dwt2
 from .pixmap import (quantize, read_image, read_watermark, write_image,
                      write_watermark)
 from .watermarker import (EmbedConfig, decode, embed_image, extract_image,
-                          parse_detector, tally_votes, vote_reference)
+                          parse_detector, require_capacity, tally_votes)
 
 REPORT_VERSION = 1
 SEED_ENV = "DWTMARK_SEED"
@@ -140,13 +141,14 @@ def cmd_bench(args):
     seed = _default_seed(args)
     cfg = _config_from_args(args)
     detectors = {name.strip(): _detector(name, cfg)
-                 for name in args.detectors.split(",")}
+                 for name in args.detectors.split(";")}
     cover = read_image(args.cover)
     wm = read_watermark(args.watermark)
 
     marked, embed_report = embed_image(cover, wm, cfg)
+    reference = embed_report.reference
+    require_capacity(reference)
     transmitted = quantize(marked)
-    reference = vote_reference(dwt2(cover, cfg.levels), cfg)
 
     def score(spec_text, repeat):
         """Detector name -> (BERs, NCCs) over `repeat` seeded trials.
@@ -258,7 +260,9 @@ def build_parser():
     p.add_argument("watermark")
     p.add_argument("--attacks", default="all",
                    help="'all' or ';'-separated attack specs")
-    p.add_argument("--detectors", default="I,II")
+    p.add_argument("--detectors", default="I;II",
+                   help="';'-separated detectors: I, II, or subband lists "
+                        "like h2,v2,v3")
     p.add_argument("--jpeg-sweep", default=None, metavar="LO..HI",
                    help="also sweep JPEG quality, e.g. 10..90")
     p.add_argument("--jpeg-sweep-step", type=int, default=10)

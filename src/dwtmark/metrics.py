@@ -30,7 +30,9 @@ def _check_same_shape(a, b):
 def psnr(a, b):
     """Peak signal-to-noise ratio in dB; +inf for identical images."""
     a, b = _check_same_shape(a, b)
-    mse = np.mean((a - b) ** 2)
+    diff = a - b
+    diff *= diff
+    mse = np.mean(diff)
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(DYNAMIC_RANGE ** 2 / mse)

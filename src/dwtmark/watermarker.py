@@ -12,6 +12,9 @@ its bit position; votes aggregate within each subband first, then the
 chosen detector's subband verdicts are combined by a second majority.
 Ties abstain at the subband stage and default to +1 at the final stage,
 so decoding is deterministic.
+
+One significance map serves both sides: `vote_reference` alone selects
+coefficients, `embed` writes through it and returns it in its report.
 """
 
 from dataclasses import dataclass, field
@@ -62,8 +65,12 @@ class EmbedConfig:
 
 @dataclass
 class EmbedReport:
-    modified: dict = field(default_factory=dict)   # (s, l) -> count
+    reference: dict = field(default_factory=dict)  # vote_reference of the cover
     psnr: float = 0.0
+
+    @property
+    def modified(self):   # (s, l) -> count
+        return {key: band.positions.size for key, band in self.reference.items()}
 
     @property
     def total_modified(self):
@@ -83,31 +90,31 @@ def compute_thresholds(pyr, cfg):
     return thresholds
 
 
-def _bit_index(positions, cols):
+def _bit_index(positions, shape):
     """Mark position (m mod 16)*16 + (n mod 16) of flat band positions."""
-    m, n = np.divmod(positions, cols)
-    return m % WM_SIZE * WM_SIZE + n % WM_SIZE
+    # a gather from a uint8 map of the band; dividing every position by
+    # the row length costs ten times more when most coefficients qualify
+    rows, cols = shape
+    bitmap = ((np.arange(rows) % WM_SIZE * WM_SIZE).astype(np.uint8)[:, None]
+              + (np.arange(cols) % WM_SIZE).astype(np.uint8))
+    return bitmap.ravel()[positions]
 
 
 def embed(pyr, wm, cfg):
-    """Modulate significant detail coefficients with the tiled mark.
+    """Modulate the coefficients vote_reference selects with the tiled mark.
 
-    Returns (new pyramid, EmbedReport with per-subband modified counts).
+    Returns (new pyramid, EmbedReport carrying that reference).
     """
     wm = validate_watermark(wm)
-    thresholds = compute_thresholds(pyr, cfg)
-    report = EmbedReport()
+    reference = vote_reference(pyr, cfg)
+    plane = (1.0 + cfg.mod_sign * cfg.alpha * wm).ravel()
     detail = dict(pyr.detail)
-    plane = 1.0 + cfg.mod_sign * cfg.alpha * wm
-    for key, t in thresholds.items():
-        band = pyr.detail[key]
-        rows, cols = band.shape
-        mask = np.abs(band) > t
-        factor = np.tile(plane, (-(-rows // WM_SIZE), -(-cols // WM_SIZE)))
-        detail[key] = np.where(mask, band * factor[:rows, :cols], band)
-        report.modified[key] = int(mask.sum())
+    for key, band in reference.items():
+        # copy() gives C order, so ravel() is a view that takes the writes
+        detail[key] = pyr.detail[key].copy()
+        detail[key].ravel()[band.positions] = band.values * plane[band.bits]
     out = WaveletPyramid(levels=pyr.levels, detail=detail, approx=pyr.approx)
-    return out, report
+    return out, EmbedReport(reference)
 
 
 class BandReference(NamedTuple):
@@ -132,9 +139,9 @@ def vote_reference(cover_pyr, cfg):
         c = cover_pyr.detail[key]
         positions = np.flatnonzero(np.abs(c) > t)
         values = c.ravel()[positions]
-        signs = np.where(values > 0, 1, -1) * int(cfg.mod_sign)
+        signs = ((values > 0).astype(np.int8) * 2 - 1) * int(cfg.mod_sign)
         band = BandReference(c.shape, positions, values, signs,
-                             _bit_index(positions, c.shape[1]))
+                             _bit_index(positions, c.shape))
         for array in band[1:]:
             array.flags.writeable = False
         reference[key] = band
@@ -168,6 +175,24 @@ def tally_votes(reference, received_pyr):
         counts = np.bincount(band.bits + n * (1 - vote), minlength=3 * n)
         tallies[key] = counts.reshape(3, WM_SIZE, WM_SIZE)[::2]
     return tallies
+
+
+def require_capacity(reference):
+    """Raise ValueError unless every bit position has a qualifying coefficient.
+
+    embed writes each bit into the qualifying coefficients at its tiled
+    positions in every detail subband.  A position with none of them
+    carries nothing, and any detector would silently decode it as +1.
+    """
+    covered = np.zeros(WM_SIZE * WM_SIZE, dtype=bool)
+    for band in reference.values():
+        covered[band.bits] = True
+    uncovered = covered.size - np.count_nonzero(covered)
+    if uncovered:
+        raise ValueError(
+            f"cover cannot carry the mark: {uncovered} of {covered.size} bit "
+            f"positions have no qualifying coefficient in any of its "
+            f"{len(reference)} detail subbands")
 
 
 def extract_votes(cover_pyr, received_pyr, cfg):
@@ -208,15 +233,19 @@ def embed_image(cover, wm, cfg=EmbedConfig()):
 
 
 def extract_image(cover, received, cfg=EmbedConfig(), detector=DETECTOR_I):
-    """Non-blind extraction: returns the decoded 16x16 {-1,+1} mark."""
+    """Non-blind extraction: returns the decoded 16x16 {-1,+1} mark.
+
+    Raises ValueError when the cover cannot carry the mark (see
+    require_capacity).
+    """
     cover = finite_image(cover, "cover")
     received = finite_image(received, "received")
     if cover.shape != received.shape:
         raise ValueError(
             f"cover {cover.shape} and received {received.shape} differ in size")
-    tallies = extract_votes(dwt2(cover, cfg.levels),
-                            dwt2(received, cfg.levels), cfg)
-    return decode(tallies, detector)
+    reference = vote_reference(dwt2(cover, cfg.levels), cfg)
+    require_capacity(reference)
+    return decode(tally_votes(reference, dwt2(received, cfg.levels)), detector)
 
 
 def parse_detector(text):

@@ -205,3 +205,41 @@ def test_criterion_10_no_mark_null(lena_like):
     mean_ber = float(np.mean(bers))
     assert 0.35 <= mean_ber <= 0.65
     _report(10, f"mean null BER {mean_ber:.3f} over 20 random marks")
+
+
+def _null_mean_bers(cover, received):
+    """Per detector, the mean BER of received's decode over 20 random marks."""
+    marks = [random_mark(7000 + i) for i in range(20)]
+    means = []
+    for det in (DETECTOR_I, DETECTOR_II):
+        est = extract_image(cover, received, CFG, det)
+        means.append(float(np.mean([metrics.ber(m, est) for m in marks])))
+    return means
+
+
+def test_criterion_10_null_other_mark(corpus):
+    # a cover carrying mark B decodes to B, which says nothing about any
+    # other mark
+    mark_b = random_mark(6999)
+    rows = []
+    for seed, cover in corpus.items():
+        marked, _ = embed_image(cover, mark_b, CFG)
+        assert metrics.ber(mark_b, extract_image(cover, marked, CFG)) == 0.0
+        means = _null_mean_bers(cover, marked)
+        assert all(0.4 <= m <= 0.6 for m in means), seed
+        rows.append(f"{seed}:{means[0]:.3f}/{means[1]:.3f}")
+    _report(10, "mean BER vs 20 other marks, mark B embedded (I/II) "
+                + " ".join(rows))
+
+
+def test_criterion_10_null_unmarked_attacked_cover(corpus):
+    # no mark at all: the votes come from the attack's noise alone
+    rows = []
+    for seed, cover in corpus.items():
+        noisy = apply_attack(quantize(cover), parse_spec("awgn"),
+                             default_seed=seed)
+        means = _null_mean_bers(cover, noisy)
+        assert all(0.4 <= m <= 0.6 for m in means), seed
+        rows.append(f"{seed}:{means[0]:.3f}/{means[1]:.3f}")
+    _report(10, "mean BER vs 20 random marks, unmarked cover after awgn "
+                "(I/II) " + " ".join(rows))

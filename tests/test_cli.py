@@ -76,6 +76,34 @@ def test_extract_from_cover_near_chance(workdir, capsys, tmp_path):
     assert 0.3 <= ber <= 0.7
 
 
+@pytest.fixture()
+def small_cover(workdir, lena_like):
+    """A 24x24 cover, embedded; too small to carry the 16x16 mark."""
+    write_image(lena_like[:24, :24], workdir / "small.pgm")
+    assert main(["embed", str(workdir / "small.pgm"), str(workdir / "mark.pbm"),
+                 str(workdir / "small_marked.pgm")]) == 0
+    return workdir / "small.pgm"
+
+
+def test_extract_rejects_cover_too_small_for_the_mark(workdir, small_cover,
+                                                      capsys):
+    rc = main(["extract", str(small_cover), str(workdir / "small_marked.pgm"),
+               str(workdir / "rec.pbm"), "--truth", str(workdir / "mark.pbm")])
+    assert rc == 1
+    assert "cannot carry the mark: 112 of 256" in capsys.readouterr().err
+    assert not (workdir / "rec.pbm").exists()
+
+
+def test_bench_rejects_cover_too_small_for_the_mark(workdir, small_cover,
+                                                    capsys):
+    rc = main(["bench", str(small_cover), str(workdir / "mark.pbm"),
+               "--attacks", "median", "--detectors", "II",
+               "--out", str(workdir / "r.json")])
+    assert rc == 1
+    assert "cannot carry the mark: 112 of 256" in capsys.readouterr().err
+    assert not (workdir / "r.json").exists()
+
+
 def test_extract_dimension_mismatch(workdir, lena_like):
     write_image(lena_like[:128, :128], workdir / "small.pgm")
     rc = main(["extract", str(workdir / "cover.pgm"), str(workdir / "small.pgm"),
@@ -240,6 +268,30 @@ def test_bench_row_equals_standalone_composition(workdir, capsys):
     assert report["attacks"][0]["detectors"]["I"]["ber"] == pytest.approx(ber)
 
 
+def test_bench_detectors_are_semicolon_separated(workdir, capsys):
+    # a comma belongs to a custom structure, as in extract --detector
+    main(["embed", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
+          str(workdir / "marked.pgm")])
+    main(["attack", str(workdir / "marked.pgm"), str(workdir / "att.pgm"),
+          "jpeg:q=20"])
+    main(["extract", str(workdir / "cover.pgm"), str(workdir / "att.pgm"),
+          str(workdir / "rec.pbm"), "--detector", "h2,v2,v3",
+          "--truth", str(workdir / "mark.pbm")])
+    standalone = capsys.readouterr().out
+    ber = float(standalone.split("ber=")[1].split()[0])
+    ncc = float(standalone.split("ncc=")[1].split()[0])
+    rc = main(["bench", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
+               "--attacks", "jpeg:q=20", "--detectors", "I;h2,v2,v3",
+               "--out", str(workdir / "r.json")])
+    assert rc == 0
+    report = json.loads((workdir / "r.json").read_text())
+    assert report["config"]["detectors"] == ["I", "h2,v2,v3"]
+    entries = report["attacks"][0]["detectors"]
+    assert set(entries) == {"I", "h2,v2,v3"}
+    assert ber > 0 and entries["I"]["ber"] != ber
+    assert entries["h2,v2,v3"] == {"ber": ber, "ncc": ncc}
+
+
 # sha256 of the files the golden bench run below writes; a change to
 # embedding, attacks, extraction or report formatting shows up here
 GOLDEN_SHA256 = {
@@ -293,7 +345,7 @@ def test_full_default_bench_golden_bytes(tmp_path, monkeypatch, lena_like,
     (["--jpeg-sweep", "0..10"], "1 <= LO <= HI <= 100"),
     (["--jpeg-sweep", "90..101"], "1 <= LO <= HI <= 100"),
     (["--seed", "-1"], "seed must be >= 0"),
-    (["--detectors", "I,d9"], "d9 is deeper than --levels 3"),
+    (["--detectors", "I;d9"], "d9 is deeper than --levels 3"),
     (["--levels", "2", "--detectors", "II"], "v3 is deeper than --levels 2"),
     (["--detectors", "h0"], "levels start at 1"),
 ], ids=["repeat", "sweep_step", "sweep_low", "sweep_high", "seed",

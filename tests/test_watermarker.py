@@ -6,7 +6,8 @@ from dwtmark.dwt import ORIENTATIONS, WaveletPyramid, dwt2
 from dwtmark.watermarker import (DETECTOR_I, DETECTOR_II, EmbedConfig,
                                  compute_thresholds, decode, embed,
                                  embed_image, extract_image, extract_votes,
-                                 parse_detector, tally_votes, vote_reference)
+                                 parse_detector, require_capacity,
+                                 tally_votes, vote_reference)
 from conftest import random_mark
 
 CFG = EmbedConfig()
@@ -38,6 +39,21 @@ def recount_votes(cover_pyr, received_pyr, cfg):
                         tally[1, m % 16, n % 16] += 1
             tallies[(s, l)] = tally
     return tallies
+
+
+def loop_embed(pyr, wm, cfg):
+    """Independent oracle: modulate every qualifying coefficient in a loop."""
+    out = {}
+    for (o, l), c in pyr.detail.items():
+        t = cfg.q[l - 1] * np.abs(c).max()
+        expected = c.copy()
+        for m in range(c.shape[0]):
+            for n in range(c.shape[1]):
+                if abs(c[m, n]) > t:
+                    expected[m, n] = c[m, n] * (
+                        1.0 + cfg.mod_sign * cfg.alpha * wm[m % 16, n % 16])
+        out[(o, l)] = expected
+    return out
 
 
 def recount_decode(tallies, detector):
@@ -133,6 +149,22 @@ class TestEmbed:
         for key, t in th.items():
             assert report.modified[key] == int((np.abs(pyr.detail[key]) > t).sum())
 
+    def test_report_reference_is_the_vote_reference(self, lena_like):
+        pyr = dwt2(lena_like, 3)
+        marked, report = embed(pyr, random_mark(4), CFG)
+        want = vote_reference(pyr, CFG)
+        assert report.reference.keys() == want.keys()
+        for key, band in want.items():
+            got = report.reference[key]
+            assert got.shape == band.shape
+            for array, expected in zip(got[1:], band[1:]):
+                assert array.tobytes() == expected.tobytes()
+            assert report.modified[key] == band.positions.size
+        # the report's map serves extraction as it is
+        tallies = tally_votes(report.reference, marked)
+        for key, tally in extract_votes(pyr, marked, CFG).items():
+            assert (tallies[key] == tally).all()
+
     @pytest.mark.parametrize("modulation", ["negative", "positive"])
     def test_matches_loop_oracle_on_ragged_bands(self, modulation):
         # a 40x24 cover gives 20x12 and 10x6 bands, sides that are not
@@ -142,16 +174,32 @@ class TestEmbed:
         wm = random_mark(6)
         pyr = dwt2(cover, 2)
         out, _ = embed(pyr, wm, cfg)
-        s = cfg.mod_sign
-        for (o, l), c in pyr.detail.items():
-            t = cfg.q[l - 1] * np.abs(c).max()
-            expected = c.copy()
-            for m in range(c.shape[0]):
-                for n in range(c.shape[1]):
-                    if abs(c[m, n]) > t:
-                        expected[m, n] = c[m, n] * (
-                            1.0 + s * cfg.alpha * wm[m % 16, n % 16])
-            assert out.detail[(o, l)].tobytes() == expected.tobytes()
+        for key, expected in loop_embed(pyr, wm, cfg).items():
+            assert out.detail[key].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "reversed"])
+    def test_matches_loop_oracle_on_non_c_contiguous_bands(self, layout):
+        # embed scatters through a flat view of a copy of each band; a
+        # copy that kept a Fortran layout would have no such view, and
+        # the modulated values would be lost without an error
+        relayout = {
+            "fortran": np.asfortranarray,
+            "strided": lambda c: np.repeat(c, 2, axis=1)[:, ::2],
+            "reversed": lambda c: c[::-1, ::-1].copy()[::-1, ::-1],
+        }[layout]
+        cover = np.random.default_rng(11).uniform(0, 255, (48, 40))
+        cfg = EmbedConfig(levels=2, q=(0.06, 0.04))
+        wm = random_mark(11)
+        pyr = dwt2(cover, 2)
+        detail = {key: relayout(c) for key, c in pyr.detail.items()}
+        for key, c in detail.items():
+            assert not c.flags.c_contiguous
+            assert c.tobytes() == pyr.detail[key].tobytes()
+        odd = WaveletPyramid(levels=2, detail=detail, approx=pyr.approx)
+        out, report = embed(odd, wm, cfg)
+        assert report.total_modified > 0
+        for key, expected in loop_embed(pyr, wm, cfg).items():
+            assert out.detail[key].tobytes() == expected.tobytes()
 
 
 CFG_SMALL = EmbedConfig(levels=2, q=(0.06, 0.04))
@@ -226,6 +274,20 @@ class TestExtract:
             for array, before in zip(band[1:], saved[key]):
                 assert not array.flags.writeable
                 assert array.tobytes() == before.tobytes()
+
+    def test_capacity_counts_each_uncovered_bit(self):
+        # bit (3, 5) tiles onto (3, 5) and (3, 21) of a 16x32 band; the
+        # zeros there never qualify, in any of the three subbands
+        band = np.ones((16, 32))
+        band[3, 5] = band[3, 21] = 0.0
+        pyr = WaveletPyramid(levels=1, detail={(s, 1): band for s in "hvd"},
+                             approx=np.zeros((16, 32)))
+        cfg = EmbedConfig(levels=1)
+        with pytest.raises(ValueError, match=" 1 of 256 bit positions .* any "
+                                             "of its 3 detail subbands"):
+            require_capacity(vote_reference(pyr, cfg))
+        band[3, 21] = 1.0
+        require_capacity(vote_reference(pyr, cfg))
 
     def test_tally_rejects_missing_and_mismatched_subbands(self):
         rng = np.random.default_rng(10)
@@ -320,6 +382,17 @@ class TestEndToEnd:
         est = extract_image(lena_like, lena_like, CFG, DETECTOR_I)
         bers = [metrics.ber(random_mark(500 + i), est) for i in range(20)]
         assert 0.35 <= float(np.mean(bers)) <= 0.65
+
+    def test_cover_too_small_for_the_mark_fails_loudly(self, lena_like, mark):
+        # a 24x24 cover has 12x12 level-1 bands, so 112 bit positions have
+        # no qualifying coefficient in any subband: the mark is not there,
+        # and every detector would decode those bits as +1
+        cover = lena_like[:24, :24]
+        marked, _ = embed_image(cover, mark, CFG)
+        for det in (DETECTOR_I, DETECTOR_II):
+            with pytest.raises(ValueError, match="cannot carry the mark: "
+                               "112 of 256 bit positions"):
+                extract_image(cover, marked, CFG, det)
 
     def test_dimension_mismatch(self, lena_like):
         with pytest.raises(ValueError, match="differ"):
