@@ -222,11 +222,13 @@ def embed_image(cover, wm, cfg=EmbedConfig()):
     """Full pipeline: decompose, embed, reconstruct.
 
     Returns (watermarked image, EmbedReport); the report's psnr compares
-    the real-valued reconstruction against the cover.
+    the real-valued reconstruction against the cover.  Raises ValueError
+    when the cover cannot carry the mark (see require_capacity).
     """
     cover = finite_image(cover, "cover")
     pyr = dwt2(cover, cfg.levels)
     marked_pyr, report = embed(pyr, wm, cfg)
+    require_capacity(report.reference)
     marked = idwt2(marked_pyr)
     report.psnr = metrics.psnr(cover, marked)
     return marked, report

@@ -16,7 +16,8 @@ from dwtmark.cli import main
 from dwtmark.dwt import dwt2, idwt2
 from dwtmark.pixmap import quantize, write_image, write_watermark
 from dwtmark.watermarker import (DETECTOR_I, DETECTOR_II, EmbedConfig, decode,
-                                 embed_image, extract_image, extract_votes)
+                                 embed, embed_image, extract_image,
+                                 extract_votes)
 from dwtmark.attacks import apply_attack, parse_spec
 
 from conftest import random_mark
@@ -166,7 +167,10 @@ def test_criterion_8_vote_decode_oracle():
         cover = rng.uniform(0, 255, (32, 32))
         pyr = dwt2(cover, 2)
         wm = random_mark(4000 + trial)
-        marked, _ = embed_image(cover, wm, cfg)
+        # embed, not embed_image: some of these 32x32 covers leave a bit
+        # position uncovered, which embed_image refuses; the tallies and
+        # decode are compared on every cover all the same
+        marked = idwt2(embed(pyr, wm, cfg)[0])
         received = marked + rng.normal(0, rng.uniform(0, 6), marked.shape)
         got_tallies = extract_votes(pyr, dwt2(received, 2), cfg)
         want_tallies = recount_votes(pyr, dwt2(received, 2), cfg)

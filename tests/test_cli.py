@@ -78,16 +78,25 @@ def test_extract_from_cover_near_chance(workdir, capsys, tmp_path):
 
 @pytest.fixture()
 def small_cover(workdir, lena_like):
-    """A 24x24 cover, embedded; too small to carry the 16x16 mark."""
+    """A 24x24 cover, too small to carry the 16x16 mark."""
     write_image(lena_like[:24, :24], workdir / "small.pgm")
-    assert main(["embed", str(workdir / "small.pgm"), str(workdir / "mark.pbm"),
-                 str(workdir / "small_marked.pgm")]) == 0
     return workdir / "small.pgm"
+
+
+def test_embed_rejects_cover_too_small_for_the_mark(workdir, small_cover,
+                                                    capsys):
+    rc = main(["embed", str(small_cover), str(workdir / "mark.pbm"),
+               str(workdir / "small_marked.pgm")])
+    assert rc == 1
+    assert "cannot carry the mark: 112 of 256" in capsys.readouterr().err
+    assert not (workdir / "small_marked.pgm").exists()
 
 
 def test_extract_rejects_cover_too_small_for_the_mark(workdir, small_cover,
                                                       capsys):
-    rc = main(["extract", str(small_cover), str(workdir / "small_marked.pgm"),
+    # the check looks only at the cover, so the unmarked cover serves as
+    # the received image: embed refuses to mark it
+    rc = main(["extract", str(small_cover), str(small_cover),
                str(workdir / "rec.pbm"), "--truth", str(workdir / "mark.pbm")])
     assert rc == 1
     assert "cannot carry the mark: 112 of 256" in capsys.readouterr().err
