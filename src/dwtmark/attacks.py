@@ -238,8 +238,11 @@ def _add_noise(img, pixels, amount, seed):
         raise AttackSpecError(f"pixel fraction must be in (0,1], got {pixels}")
     rng = np.random.default_rng(seed)
     hit = rng.random(img.shape) < pixels
-    sign = np.where(rng.random(img.shape) < 0.5, -1.0, 1.0)
-    return img + hit * sign * (amount * 255.0)
+    noise = np.where(rng.random(img.shape) < 0.5, -1.0, 1.0)
+    noise *= hit
+    noise *= amount * 255.0
+    noise += img
+    return noise
 
 
 def _bilinear_resize(img, out_h, out_w):
@@ -254,12 +257,24 @@ def _bilinear_resize(img, out_h, out_w):
     x1 = np.minimum(x0 + 1, w - 1)
     fy = (ys - y0)[:, None]
     fx = (xs - x0)[None, :]
-    tl = img[np.ix_(y0, x0)]
-    tr = img[np.ix_(y0, x1)]
-    bl = img[np.ix_(y1, x0)]
-    br = img[np.ix_(y1, x1)]
-    return (tl * (1 - fy) * (1 - fx) + tr * (1 - fy) * fx
-            + bl * fy * (1 - fx) + br * fy * fx)
+    gy, gx = 1 - fy, 1 - fx
+    # top[x0]*gy*gx + top[x1]*gy*fx + bottom[x0]*fy*gx + bottom[x1]*fy*fx
+    # with each product and sum in that order (so the bytes match the plain
+    # formula), built in two output-sized buffers instead of a dozen
+    top, bottom = img[y0], img[y1]
+    acc = np.take(top, x0, axis=1)
+    acc *= gy
+    acc *= gx
+    term = np.empty_like(acc)
+    for rows, cols, wy, wx in ((top, x1, gy, fx), (bottom, x0, fy, gx),
+                               (bottom, x1, fy, fx)):
+        # mode="clip" is not buffered as the default "raise" is with out=;
+        # the indices are in range, so it clips nothing
+        np.take(rows, cols, axis=1, out=term, mode="clip")
+        term *= wy
+        term *= wx
+        acc += term
+    return acc
 
 
 def _rescale(img):
@@ -279,11 +294,18 @@ def _dilate(img):
 def _gamma(img, g):
     if g <= 0:
         raise AttackSpecError(f"gamma must be > 0, got {g}")
-    return 255.0 * (img / 255.0) ** g
+    out = img / 255.0
+    out **= g
+    out *= 255.0
+    return out
 
 
 def _sharpen(img, lam):
-    return img + lam * (img - _lpf(img))
+    out = _lpf(img)
+    np.subtract(img, out, out=out)
+    out *= lam
+    out += img
+    return out
 
 
 def _awgn(img, snr_db, seed):

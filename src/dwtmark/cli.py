@@ -11,6 +11,7 @@ Reports are deterministic for a given (inputs, flags, seed).
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -275,10 +276,15 @@ def build_parser():
     return parser
 
 
+# built on first use and reused: parsing leaves the parser unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the cmd_* global as bound now, not when the parser was built
+        return globals()[f"cmd_{args.command}"](args)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -15,8 +15,11 @@ so decoding is deterministic.
 
 One significance map serves both sides: `vote_reference` alone selects
 coefficients, `embed` writes through it and returns it in its report.
+`extract_image` keeps the last cover it analysed with that map, so
+checking many suspects against one original analyses the original once.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -86,7 +89,8 @@ def compute_thresholds(pyr, cfg):
     for l in range(1, cfg.levels + 1):
         for s in ORIENTATIONS:
             band = pyr.detail[(s, l)]
-            thresholds[(s, l)] = cfg.q[l - 1] * np.abs(band).max()
+            # max|c| without a full-size |c| temporary; exactly equal
+            thresholds[(s, l)] = cfg.q[l - 1] * max(band.max(), -band.min())
     return thresholds
 
 
@@ -218,6 +222,25 @@ def decode(tallies, detector):
     return np.where(verdict_sum >= 0, 1, -1).astype(np.int8)
 
 
+def _embedding_psnr(reference, marked_pyr, pixels):
+    """PSNR of an embedding, from the coefficients it changed.
+
+    The db2 transform is orthonormal, so by Parseval the squared error
+    of the real-valued reconstruction equals that of the coefficients.
+    """
+    sse = 0.0
+    with np.errstate(over="ignore"):
+        for key, band in reference.items():
+            diff = marked_pyr.detail[key].ravel()[band.positions] - band.values
+            sse += float(diff @ diff)
+    if not math.isfinite(sse):
+        raise ValueError("embedding squared error overflows: cover pixel "
+                         "values are too large")
+    if sse == 0.0:
+        return math.inf
+    return 10.0 * math.log10(metrics.DYNAMIC_RANGE ** 2 * pixels / sse)
+
+
 def embed_image(cover, wm, cfg=EmbedConfig()):
     """Full pipeline: decompose, embed, reconstruct.
 
@@ -229,24 +252,51 @@ def embed_image(cover, wm, cfg=EmbedConfig()):
     pyr = dwt2(cover, cfg.levels)
     marked_pyr, report = embed(pyr, wm, cfg)
     require_capacity(report.reference)
-    marked = idwt2(marked_pyr)
-    report.psnr = metrics.psnr(cover, marked)
-    return marked, report
+    report.psnr = _embedding_psnr(report.reference, marked_pyr, cover.size)
+    return idwt2(marked_pyr), report
+
+
+# extract_image's last cover: (the reference's config fields, a read-only
+# copy of the cover, its vote_reference), replaced by one assignment so a
+# racing thread reads the old slot or the new one, never a mix
+_cover_memo = None
+
+
+def _cover_reference(cover, cfg):
+    """vote_reference of the cover, reused while cover and config repeat.
+
+    The reference depends on the cover's pixels and on cfg's levels,
+    modulation and q factors of those levels; a call that repeats all of
+    them gets the stored reference (its arrays are read-only).  A cover
+    that fails require_capacity is never stored.
+    """
+    global _cover_memo
+    key = (cfg.levels, cfg.modulation, tuple(cfg.q[:cfg.levels]))
+    memo = _cover_memo
+    if memo is not None and memo[0] == key and np.array_equal(memo[1], cover):
+        return memo[2]
+    reference = vote_reference(dwt2(cover, cfg.levels), cfg)
+    require_capacity(reference)
+    held = cover.copy()
+    held.flags.writeable = False
+    _cover_memo = (key, held, reference)
+    return reference
 
 
 def extract_image(cover, received, cfg=EmbedConfig(), detector=DETECTOR_I):
     """Non-blind extraction: returns the decoded 16x16 {-1,+1} mark.
 
     Raises ValueError when the cover cannot carry the mark (see
-    require_capacity).
+    require_capacity).  Repeated calls with an equal cover and config
+    reuse the cover's analysis; one copy of the last cover and its
+    reference stay in memory.
     """
     cover = finite_image(cover, "cover")
     received = finite_image(received, "received")
     if cover.shape != received.shape:
         raise ValueError(
             f"cover {cover.shape} and received {received.shape} differ in size")
-    reference = vote_reference(dwt2(cover, cfg.levels), cfg)
-    require_capacity(reference)
+    reference = _cover_reference(cover, cfg)
     return decode(tally_votes(reference, dwt2(received, cfg.levels)), detector)
 
 

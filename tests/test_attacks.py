@@ -280,6 +280,69 @@ def test_rank_filters_match_scipy(monkeypatch, kind, shape, strip):
     assert got.tobytes() == want.tobytes()
 
 
+# the attacks' plain formulas; the implementations build them in place,
+# in the same per-element order, so the bytes must match
+def _bilinear_formula(img, out_h, out_w):
+    h, w = img.shape
+    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
+    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = (ys - y0)[:, None]
+    fx = (xs - x0)[None, :]
+    return (img[np.ix_(y0, x0)] * (1 - fy) * (1 - fx)
+            + img[np.ix_(y0, x1)] * (1 - fy) * fx
+            + img[np.ix_(y1, x0)] * fy * (1 - fx)
+            + img[np.ix_(y1, x1)] * fy * fx)
+
+
+def _add_noise_formula(img, pixels, amount, seed):
+    rng = np.random.default_rng(seed)
+    hit = rng.random(img.shape) < pixels
+    sign = np.where(rng.random(img.shape) < 0.5, -1.0, 1.0)
+    return img + hit * sign * (amount * 255.0)
+
+
+FORMULAS = {
+    "rescale": (lambda img: _bilinear_formula(
+        _bilinear_formula(img, max(img.shape[0] // 2, 1),
+                          max(img.shape[1] // 2, 1)), *img.shape),
+                [{}]),
+    "sharpen": (lambda img, lam: img + lam * (img - attacks._lpf(img)),
+                [{"lam": 1.0}, {"lam": 0.5}, {"lam": 2}, {"lam": -0.3}]),
+    "gamma": (lambda img, g: 255.0 * (img / 255.0) ** g,
+              [{"g": 0.8}, {"g": 0.5}, {"g": 1.0}, {"g": 2.0}, {"g": 3.0}]),
+    "add_noise": (_add_noise_formula,
+                  [{"pixels": 0.1, "amount": 0.2, "seed": 3},
+                   {"pixels": 1.0, "amount": 3.7, "seed": 0}]),
+}
+
+
+@pytest.mark.parametrize("shape", [(1, 40), (50, 1), (2, 3), (37, 300),
+                                   (301, 257)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("kind", sorted(FORMULAS))
+def test_in_place_attacks_match_their_formulas(kind, shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    img = rng.integers(0, 256, shape).astype(np.float64)
+    img.flat[:2] = (0.0, 255.0)
+    formula, cases = FORMULAS[kind]
+    impl, _ = CATALOG[kind]
+    for params in cases:
+        got = impl(img, **params)
+        want = formula(img, **params)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), params
+
+
+@pytest.mark.parametrize("size", [(5, 7), (74, 600), (3, 1), (1, 1)])
+def test_bilinear_resize_matches_formula(size):
+    img = np.random.default_rng(7).integers(0, 256, (37, 300)).astype(float)
+    got = attacks._bilinear_resize(img, *size)
+    assert got.tobytes() == _bilinear_formula(img, *size).tobytes()
+
+
 def test_non_finite_input_rejected():
     img = np.full((16, 16), 100.0)
     img[3, 4] = np.nan

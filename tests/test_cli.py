@@ -6,6 +6,7 @@ import pytest
 from dwtmark import cli
 from dwtmark.cli import _round6, main
 from dwtmark.pixmap import read_image, read_watermark, write_image, write_watermark
+from dwtmark.watermarker import DETECTOR_I, DETECTOR_II, EmbedConfig
 
 from conftest import random_mark
 
@@ -64,6 +65,36 @@ def test_custom_detector_matches_builtin(workdir):
           str(workdir / "b.pbm"), "--detector", "h2,v2,v3"])
     assert (read_watermark(workdir / "a.pbm")
             == read_watermark(workdir / "b.pbm")).all()
+
+
+def test_each_call_parses_with_its_own_defaults(workdir, monkeypatch):
+    # main() reuses one parser; no flag of one call may leak into the next
+    seen = []
+
+    def record(cover, received, cfg, detector):
+        seen.append((cfg, detector))
+        return read_watermark(workdir / "mark.pbm")
+
+    monkeypatch.setattr(cli, "extract_image", record)
+    files = [str(workdir / "cover.pgm")] * 2 + [str(workdir / "rec.pbm")]
+    assert main(["extract", *files, "--detector", "II", "--alpha", "0.3",
+                 "--modulation", "positive"]) == 0
+    assert main(["embed", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
+                 str(workdir / "marked.pgm"), "--levels", "2"]) == 0
+    assert main(["extract", *files]) == 0
+    assert main(["extract", *files, "--q2", "0.05"]) == 0
+    assert seen == [(EmbedConfig(alpha=0.3, modulation="positive"), DETECTOR_II),
+                    (EmbedConfig(), DETECTOR_I),
+                    (EmbedConfig(q=(0.06, 0.05, 0.02)), DETECTOR_I)]
+    assert cli._parser() is cli._parser()
+
+
+def test_main_runs_the_command_bound_at_call_time(monkeypatch):
+    # the parser is built once, but a rebound cmd_* (a wrapper, a test
+    # double) must still be the one that runs
+    assert main(["attack", "in.pgm", "out.pgm", "nope"]) == 1
+    monkeypatch.setattr(cli, "cmd_attack", lambda args: 7)
+    assert main(["attack", "in.pgm", "out.pgm", "nope"]) == 7
 
 
 def test_extract_from_cover_near_chance(workdir, capsys, tmp_path):

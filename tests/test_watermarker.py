@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dwtmark import metrics
+from dwtmark import metrics, watermarker
 from dwtmark.dwt import ORIENTATIONS, WaveletPyramid, dwt2
 from dwtmark.watermarker import (DETECTOR_I, DETECTOR_II, EmbedConfig,
                                  compute_thresholds, decode, embed,
@@ -411,6 +411,123 @@ class TestEndToEnd:
             extract_image(lena_like, bad, CFG, DETECTOR_I)
         with pytest.raises(ValueError, match="non-finite"):
             extract_image(bad, lena_like, CFG, DETECTOR_I)
+
+
+class TestEmbeddingPsnr:
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    @pytest.mark.parametrize("modulation", ["negative", "positive"])
+    def test_matches_pixel_psnr(self, corpus, mark, modulation, levels):
+        # the report's PSNR comes from the changed coefficients (Parseval)
+        cfg = EmbedConfig(levels=levels, modulation=modulation)
+        for cover in corpus.values():
+            marked, report = embed_image(cover, mark, cfg)
+            assert abs(report.psnr - metrics.psnr(cover, marked)) < 1e-9
+
+    def test_squared_error_overflow_fails_loudly(self, lena_like, mark):
+        with pytest.raises(ValueError, match="squared error overflows"):
+            embed_image(lena_like * 1e200, mark, CFG)
+
+
+@pytest.fixture
+def dwt2_calls(monkeypatch):
+    """Empty extract_image's cover memo and record each dwt2 call's shape."""
+    monkeypatch.setattr(watermarker, "_cover_memo", None)
+    calls = []
+
+    def counting_dwt2(img, levels):
+        calls.append(img.shape)
+        return dwt2(img, levels)
+
+    monkeypatch.setattr(watermarker, "dwt2", counting_dwt2)
+    return calls
+
+
+def fresh_extract(cover, received, cfg, detector):
+    """extract_image's result from a new analysis of the cover."""
+    tallies = extract_votes(dwt2(cover, cfg.levels),
+                            dwt2(received, cfg.levels), cfg)
+    return decode(tallies, detector)
+
+
+def noisy(img, seed):
+    return img + np.random.default_rng(seed).normal(0.0, 30.0, img.shape)
+
+
+class TestCoverMemo:
+    def test_hit_decodes_like_a_fresh_analysis(self, dwt2_calls, lena_like,
+                                               mark):
+        marked, _ = embed_image(lena_like, mark, CFG)
+        assert len(dwt2_calls) == 1
+        extract_image(lena_like, marked, CFG, DETECTOR_I)
+        assert len(dwt2_calls) == 3
+        for i, det in enumerate((DETECTOR_I, DETECTOR_II, DETECTOR_I)):
+            received = noisy(marked, i)
+            # an equal but distinct cover array: only the suspect is analysed
+            est = extract_image(lena_like.copy(), received, CFG, det)
+            assert len(dwt2_calls) == 4 + i
+            want = fresh_extract(lena_like, received, CFG, det)
+            assert np.array_equal(est, want)
+        assert metrics.ber(mark, est) > 0.0   # the noise moved some bits
+
+    @pytest.mark.parametrize("change", ["pixel", "q", "levels", "modulation",
+                                        "shape"])
+    def test_changed_cover_or_config_misses(self, dwt2_calls, lena_like, mark,
+                                            change):
+        detector = parse_detector("h1,v1,d2,h2")   # valid at --levels 2
+        marked, _ = embed_image(lena_like, mark, CFG)
+        extract_image(lena_like, marked, CFG, detector)
+        calls = len(dwt2_calls)
+        cover, received, cfg = lena_like.copy(), noisy(marked, 1), CFG
+        if change == "pixel":
+            cover[200, 31] += 1.0
+        elif change == "q":
+            cfg = EmbedConfig(q=(0.06, 0.04, 0.03))
+        elif change == "levels":
+            cfg = EmbedConfig(levels=2)
+        elif change == "modulation":
+            cfg = EmbedConfig(modulation="positive")
+        else:
+            cover, received = cover[:, :192], received[:, :192]
+        est = extract_image(cover, received, cfg, detector)
+        assert dwt2_calls[calls:] == [cover.shape, received.shape]
+        assert np.array_equal(est, fresh_extract(cover, received, cfg,
+                                                 detector))
+
+    def test_alpha_does_not_enter_the_reference(self, dwt2_calls, lena_like):
+        extract_image(lena_like, noisy(lena_like, 0), CFG, DETECTOR_I)
+        extract_image(lena_like, noisy(lena_like, 1), EmbedConfig(alpha=0.2),
+                      DETECTOR_I)
+        assert len(dwt2_calls) == 3
+
+    def test_writes_into_the_callers_cover_are_seen(self, dwt2_calls,
+                                                   lena_like, mark):
+        cover = lena_like.copy()
+        marked, _ = embed_image(cover, mark, CFG)
+        extract_image(cover, marked, CFG, DETECTOR_I)
+        cover *= 0.5   # same array, new pixels
+        est = extract_image(cover, marked, CFG, DETECTOR_I)
+        assert len(dwt2_calls) == 5
+        assert np.array_equal(est, fresh_extract(cover, marked, CFG,
+                                                 DETECTOR_I))
+        assert not np.array_equal(est, mark)   # what a stale reference gives
+
+    def test_refused_cover_is_refused_every_time(self, dwt2_calls, lena_like):
+        cover = lena_like[:24, :24]
+        for i in range(3):
+            with pytest.raises(ValueError, match="cannot carry the mark"):
+                extract_image(cover, cover, CFG, DETECTOR_I)
+            assert len(dwt2_calls) == i + 1
+        assert watermarker._cover_memo is None
+
+    def test_non_finite_cover_after_a_cached_one(self, dwt2_calls, lena_like):
+        extract_image(lena_like, lena_like, CFG, DETECTOR_I)
+        bad = lena_like.copy()
+        bad[5, 7] = np.nan
+        with pytest.raises(ValueError, match="cover image has non-finite"):
+            extract_image(bad, lena_like, CFG, DETECTOR_I)
+        with pytest.raises(ValueError, match="received image has non-finite"):
+            extract_image(lena_like, bad, CFG, DETECTOR_I)
+        assert len(dwt2_calls) == 2
 
 
 class TestConfig:
