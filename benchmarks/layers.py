@@ -6,9 +6,10 @@
 Times each layer of the north star on square synthetic covers of the given
 sizes (default 256 512 1024): PGM write/read, dwt2, idwt2,
 compute_thresholds, embed, extract_votes, decode, embed_image,
-extract_image (the same cover again, and two covers in turn), every
-catalog attack, psnr, ssim, kl_security and mutual_information.  A layer's
-figure is the median of N perf_counter timings after one warm-up call.
+extract_image (the same cover again, two covers in turn, and the same
+uint8 cover with a uint8 suspect under Detector II), every catalog
+attack, psnr, ssim, kl_security and mutual_information.  A layer's figure
+is the median of N perf_counter timings after one warm-up call.
 
 Each checkout (--root, default the one holding this script; it needs
 src/dwtmark and tests/synth.py) is timed in its own process.  With several
@@ -93,6 +94,8 @@ def time_layers(root, sizes, repeats):
             received = dwt.dwt2(sent, cfg.levels)
             tallies = wmk.extract_votes(pyr, received, cfg)
             turns = itertools.cycle([other, cover])
+            cover_u8, sent_u8 = (pixmap.quantize(x).astype("uint8")
+                                 for x in (cover, sent))
             layers = {
                 "pixmap.write_image": lambda: pixmap.write_image(marked, path),
                 "pixmap.read_image": lambda: pixmap.read_image(path),
@@ -111,6 +114,9 @@ def time_layers(root, sizes, repeats):
                     lambda: wmk.extract_image(cover, sent, cfg),
                 "watermarker.extract_image.covers_in_turn":
                     lambda: wmk.extract_image(next(turns), sent, cfg),
+                "watermarker.extract_image.uint8_detector_ii":
+                    lambda: wmk.extract_image(cover_u8, sent_u8, cfg,
+                                              wmk.DETECTOR_II),
                 "metrics.psnr": lambda: metrics.psnr(cover, marked),
                 "metrics.ssim": lambda: metrics.ssim(cover, marked),
                 "metrics.kl_security": lambda: metrics.kl_security(cover, marked),

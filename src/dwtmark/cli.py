@@ -2,8 +2,9 @@
 
 The bench command analyses the cover once: embedding returns the cover's
 vote reference, its one significance map.  It runs the attack catalog
-against the watermarked image, decomposes each attacked image once and
-tallies it against that reference, decodes every requested detector
+against the watermarked image, decomposes each attacked image once, into
+the subbands the requested detectors use, and tallies it against that
+reference, decodes every requested detector
 (`--detectors`, ';'-separated) from that image's one vote tally and
 writes a JSON report (plus a CSV when a JPEG quality sweep is requested).
 Reports are deterministic for a given (inputs, flags, seed).
@@ -22,8 +23,8 @@ import numpy as np
 from . import metrics
 from .attacks import DEFAULT_BENCH, apply_attack, parse_spec
 from .dwt import dwt2
-from .pixmap import (quantize, read_image, read_watermark, write_image,
-                     write_watermark)
+from .pixmap import (quantize, read_image, read_raster, read_watermark,
+                     write_image, write_watermark)
 from .watermarker import (EmbedConfig, decode, embed_image, extract_image,
                           parse_detector, tally_votes)
 
@@ -92,8 +93,8 @@ def cmd_embed(args):
 def cmd_extract(args):
     cfg = _config_from_args(args)
     detector = _detector(args.detector, cfg)
-    cover = read_image(args.cover)
-    received = read_image(args.received)
+    cover = read_raster(args.cover)
+    received = read_raster(args.received)
     est = extract_image(cover, received, cfg, detector)
     write_watermark(est, args.out)
     if args.truth:
@@ -147,20 +148,24 @@ def cmd_bench(args):
     wm = read_watermark(args.watermark)
 
     marked, embed_report = embed_image(cover, wm, cfg)
-    reference = embed_report.reference
+    # the cover's map, restricted to the subbands some detector uses
+    reference = {key: embed_report.reference[key]
+                 for structure in detectors.values() for key in structure}
     transmitted = quantize(marked)
 
     def score(spec_text, repeat):
         """Detector name -> (BERs, NCCs) over `repeat` seeded trials.
 
-        Each attacked image is decomposed and tallied once against the
-        cover reference; every detector decodes from that one tally.
+        Each attacked image is decomposed into the detectors' subbands
+        and tallied once against the cover reference; every detector
+        decodes from that one tally.
         """
         spec = parse_spec(spec_text)
         runs = {name: ([], []) for name in sorted(detectors)}
         for rep_i in range(repeat):
             attacked = apply_attack(transmitted, spec, default_seed=seed + rep_i)
-            tallies = tally_votes(reference, dwt2(attacked, cfg.levels))
+            tallies = tally_votes(reference, dwt2(attacked, cfg.levels,
+                                                  subbands=reference))
             for name, (bers, nccs) in runs.items():
                 est = decode(tallies, detectors[name])
                 bers.append(metrics.ber(wm, est))

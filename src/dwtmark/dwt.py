@@ -132,12 +132,33 @@ def _contiguous(x, stage):
     return stage
 
 
-def dwt2(img, levels):
+def _analysis(x, axis, outs):
+    """Analysis step of x along `axis` into outs = (low, high), skipping
+    an output that is None."""
+    # a slice of the weight rows: a fancy index costs microseconds, and
+    # this runs nine times a dwt2 call
+    lo = 1 if outs[0] is None else 0
+    hi = 1 if outs[1] is None else 2
+    if lo < hi:
+        _step(*_phases(x, axis), _ANALYSIS[lo:hi], axis, -1, outs[lo:hi])
+
+
+def dwt2(img, levels, subbands=None):
     """Decompose a 2-D image into a `levels`-deep wavelet pyramid.
 
-    Width and height must be divisible by 2**levels.
+    Width and height must be divisible by 2**levels.  An integer image is
+    read as it is: the kernel's staging copy converts it as astype(float64)
+    would, so the result equals that of its float64 copy.  Any other image
+    is converted to float64 first.
+
+    `subbands`, an iterable of (orientation, level) keys, asks for only
+    those detail subbands: the passes no other one needs are skipped, the
+    pyramid's detail holds just them, each bit-identical to the full
+    pyramid's, and its approx is None, so idwt2 refuses it.
     """
-    img = np.asarray(img, dtype=np.float64)
+    img = np.asarray(img)
+    if not np.issubdtype(img.dtype, np.integer):
+        img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError(f"image must be 2-D, got shape {img.shape}")
     if levels < 1:
@@ -147,23 +168,40 @@ def dwt2(img, levels):
     if h % div or w % div:
         raise ValueError(
             f"image dimensions {h}x{w} not divisible by 2^{levels}")
+    full = subbands is None
+    every = {(s, l) for l in range(1, levels + 1) for s in ORIENTATIONS}
+    wanted = every if full else set(subbands)
+    if not wanted <= every:
+        raise ValueError(f"no subband {min(wanted - every, key=repr)} "
+                         f"in a {levels}-level pyramid")
+    depth = max((l for _, l in wanted), default=0)
 
     detail = {}
     approx = img
-    for l in range(1, levels + 1):
+    for l in range(1, depth + 1):
         h, w = approx.shape
-        lo_x, hi_x = np.empty((h, w // 2)), np.empty((h, w // 2))
-        _step(*_phases(approx, 1), _ANALYSIS, 1, -1, (lo_x, hi_x))
-        approx, *bands = (np.empty((h // 2, w // 2)) for _ in range(4))
-        _step(*_phases(lo_x, 0), _ANALYSIS, 0, -1, (approx, bands[0]))
-        _step(*_phases(hi_x, 0), _ANALYSIS, 0, -1, bands[1:])
-        detail.update(((s, l), band) for s, band in zip(ORIENTATIONS, bands))
-    return WaveletPyramid(levels=levels, detail=detail, approx=approx)
+        # which of approx, h, v, d this level computes
+        need = (full or l < depth, *((s, l) in wanted for s in ORIENTATIONS))
+        # the row pass's low half feeds (approx, h), its high half (v, d)
+        halves = [np.empty((h, w // 2)) if any(pair) else None
+                  for pair in (need[:2], need[2:])]
+        _analysis(approx, 1, halves)
+        approx, *bands = (np.empty((h // 2, w // 2)) if n else None
+                          for n in need)
+        _analysis(halves[0], 0, (approx, bands[0]))
+        _analysis(halves[1], 0, bands[1:])
+        detail.update(((s, l), band) for s, band in zip(ORIENTATIONS, bands)
+                      if band is not None)
+    return WaveletPyramid(levels=levels, detail=detail,
+                          approx=approx if full else None)
 
 
 def idwt2(pyr):
     """Reconstruct the image from a pyramid (inverse of dwt2)."""
     approx = pyr.approx
+    if approx is None:
+        raise ValueError("pyramid has no approximation band "
+                         "(dwt2 was asked for selected subbands)")
     for l in range(pyr.levels, 0, -1):
         try:
             h, v, d = (pyr.detail[(s, l)] for s in ORIENTATIONS)

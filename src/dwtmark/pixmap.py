@@ -4,6 +4,9 @@ Images are 2-D float64 numpy arrays in row-major order, nominal range
 [0, 255].  Intensities stay real-valued through the whole pipeline;
 quantization to 8 bits happens only when a file is written (and at the
 entry of each attack, which models a transmitted 8-bit image).
+`read_raster` returns a PGM's stored 8-bit pixels as uint8, for callers
+that take integer images as they are (extraction does); `read_image` is
+its float64 copy.
 
 Watermarks are 16x16 int arrays with entries in {-1, +1}.  The file
 mapping is fixed: PBM bit 1 -> +1, bit 0 -> -1.
@@ -85,9 +88,10 @@ def _binary_raster(data, pos, size):
     if sep and not sep.isspace():
         raise FormatError(
             f"binary raster must follow one whitespace byte, got {sep!r}")
-    # a copy, not a view into `data` at an offset: the view saved 0.07 ms
-    # per 1024^2 read but raised the mark benchmark's peak RSS by 4-8 MB
-    raster = data[pos + 1:pos + 1 + size]
+    # a writeable copy, not a view into `data` at an offset: the view saved
+    # 0.07 ms per 1024^2 read but raised the mark benchmark's peak RSS by
+    # 4-8 MB
+    raster = bytearray(memoryview(data)[pos + 1:pos + 1 + size])
     if len(raster) < size:
         raise FormatError(
             f"truncated pixel data: got {len(raster)} of {size} bytes")
@@ -107,10 +111,10 @@ def finite_image(img, name):
     return img
 
 
-def read_image(path):
+def read_raster(path):
     """Read a P2 (ASCII) or P5 (binary) PGM with maxval 255.
 
-    Returns a float64 array of shape (height, width).
+    Returns its pixels as a uint8 array of shape (height, width).
     """
     magic, (width, height, maxval), data, pos = _read_netpbm(
         path, (b"P2", b"P5"), ("width", "height", "maxval"))
@@ -126,7 +130,13 @@ def read_image(path):
         if len(pixels) < count:
             raise FormatError(
                 f"truncated pixel data: got {len(pixels)} of {count} samples")
-    return np.reshape(pixels, (height, width)).astype(np.float64)
+        pixels = np.array(pixels, np.uint8)
+    return pixels.reshape(height, width)
+
+
+def read_image(path):
+    """read_raster(path) as a float64 array of shape (height, width)."""
+    return read_raster(path).astype(np.float64)
 
 
 def write_image(img, path):
@@ -171,12 +181,12 @@ def read_watermark(path):
 def write_watermark(wm, path):
     """Write an ASCII P1 PBM; +1 -> 1, -1 -> 0."""
     wm = validate_watermark(wm)
-    bits = (wm > 0).astype(np.uint8)
-    lines = [b"P1", b"%d %d" % (WM_SIZE, WM_SIZE)]
-    for row in bits:
-        lines.append(" ".join(str(b) for b in row).encode())
+    # one line a row: the digits at even offsets, separated by spaces
+    raster = np.full((WM_SIZE, 2 * WM_SIZE), ord(" "), np.uint8)
+    raster[:, 0::2] = np.where(wm > 0, ord("1"), ord("0"))
+    raster[:, -1] = ord("\n")
     with open(path, "wb") as fh:
-        fh.write(b"\n".join(lines) + b"\n")
+        fh.write(b"P1\n%d %d\n" % (WM_SIZE, WM_SIZE) + raster.tobytes())
 
 
 def validate_watermark(wm):

@@ -16,7 +16,8 @@ so decoding is deterministic.
 One significance map serves both sides: `vote_reference` alone selects
 coefficients, `embed` writes through it and returns it in its report.
 `extract_image` keeps the last cover it analysed with that map, so
-checking many suspects against one original analyses the original once.
+checking many suspects against one original analyses the original once,
+and decomposes each suspect only into the detector's subbands.
 """
 
 import math
@@ -46,6 +47,9 @@ class EmbedConfig:
     modulation: str = "negative"
 
     def __post_init__(self):
+        # a snapshot of plain floats: comparable, hashable and immutable
+        # whatever sequence was passed
+        object.__setattr__(self, "q", tuple(float(x) for x in self.q))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
         if self.levels < 1:
@@ -257,8 +261,9 @@ def embed_image(cover, wm, cfg=EmbedConfig()):
 
 
 # extract_image's last cover: (the reference's config fields, a read-only
-# copy of the cover, its vote_reference), replaced by one assignment so a
-# racing thread reads the old slot or the new one, never a mix
+# copy of the cover in the dtype it was passed, its vote_reference),
+# replaced by one assignment so a racing thread reads the old slot or the
+# new one, never a mix
 _cover_memo = None
 
 
@@ -267,11 +272,12 @@ def _cover_reference(cover, cfg):
 
     The reference depends on the cover's pixels and on cfg's levels,
     modulation and q factors of those levels; a call that repeats all of
-    them gets the stored reference (its arrays are read-only).  A cover
-    that fails require_capacity is never stored.
+    them gets the stored reference (its arrays are read-only).  Pixels
+    compare by value across dtypes, as dwt2 reads them.  A cover that
+    fails require_capacity is never stored.
     """
     global _cover_memo
-    key = (cfg.levels, cfg.modulation, tuple(cfg.q[:cfg.levels]))
+    key = (cfg.levels, cfg.modulation, cfg.q[:cfg.levels])
     memo = _cover_memo
     if memo is not None and memo[0] == key and np.array_equal(memo[1], cover):
         return memo[2]
@@ -283,21 +289,33 @@ def _cover_reference(cover, cfg):
     return reference
 
 
+def _pixels(img, name):
+    """An integer image as it is (always finite), else finite_image(img)."""
+    img = np.asarray(img)
+    return img if np.issubdtype(img.dtype, np.integer) else finite_image(img, name)
+
+
 def extract_image(cover, received, cfg=EmbedConfig(), detector=DETECTOR_I):
     """Non-blind extraction: returns the decoded 16x16 {-1,+1} mark.
 
-    Raises ValueError when the cover cannot carry the mark (see
+    Integer images (such as pixmap.read_raster's uint8) are used as they
+    are; any other image must be finite and is read as float64.  Raises
+    ValueError when the cover cannot carry the mark (see
     require_capacity).  Repeated calls with an equal cover and config
-    reuse the cover's analysis; one copy of the last cover and its
-    reference stay in memory.
+    reuse the cover's analysis; one copy of the last cover, in its
+    dtype, and its reference stay in memory.  The received image is
+    decomposed only into the detector's subbands.
     """
-    cover = finite_image(cover, "cover")
-    received = finite_image(received, "received")
+    cover = _pixels(cover, "cover")
+    received = _pixels(received, "received")
     if cover.shape != received.shape:
         raise ValueError(
             f"cover {cover.shape} and received {received.shape} differ in size")
     reference = _cover_reference(cover, cfg)
-    return decode(tally_votes(reference, dwt2(received, cfg.levels)), detector)
+    # a subband the reference lacks is left to decode to report
+    used = {key: reference[key] for key in detector if key in reference}
+    return decode(tally_votes(used, dwt2(received, cfg.levels, subbands=used)),
+                  detector)
 
 
 def parse_detector(text):

@@ -332,6 +332,27 @@ def test_bench_detectors_are_semicolon_separated(workdir, capsys):
     assert entries["h2,v2,v3"] == {"ber": ber, "ncc": ncc}
 
 
+def test_bench_detector_entries_do_not_depend_on_the_others(workdir):
+    # each attacked image is decomposed into the union of the detectors'
+    # subbands: II alone (3 subbands) must decode as II beside I (all nine)
+    reports = {}
+    for detectors in ("II", "I;II"):
+        out = workdir / f"r_{detectors.replace(';', '_')}.json"
+        assert main(["bench", str(workdir / "cover.pgm"),
+                     str(workdir / "mark.pbm"), "--detectors", detectors,
+                     "--attacks", "median;jpeg:q=30;add_noise;crop_half",
+                     "--jpeg-sweep", "20..60", "--jpeg-sweep-step", "20",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        sweep = out.with_name(out.stem + "_sweep.csv").read_text().splitlines()
+        reports[detectors] = (
+            [row["detectors"]["II"] for row in report["attacks"]],
+            [line for line in sweep if ",II," in line],
+            report["transparency"])
+    assert reports["II"] == reports["I;II"]
+    assert len(reports["II"][1]) == 3
+
+
 # sha256 of the files the golden bench run below writes; a change to
 # embedding, attacks, extraction or report formatting shows up here
 GOLDEN_SHA256 = {
@@ -412,6 +433,7 @@ def test_extract_rejects_bad_detector_before_work(workdir, capsys, monkeypatch,
     def no_work(*_):
         raise AssertionError("extract read its inputs before checking flags")
     monkeypatch.setattr(cli, "read_image", no_work)
+    monkeypatch.setattr(cli, "read_raster", no_work)
     rc = main(["extract", str(workdir / "cover.pgm"), str(workdir / "cover.pgm"),
                str(workdir / "est.pbm"), *flags])
     assert rc == 1

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwtmark import dwt
 from dwtmark.dwt import ORIENTATIONS, WaveletPyramid, db2_filters, dwt2, idwt2
@@ -187,3 +189,53 @@ def test_inconsistent_pyramid_rejected():
                          approx=pyr.approx)
     with pytest.raises(ValueError, match="subband"):
         idwt2(bad)
+
+
+# an image shape that `levels` levels divide, small enough for many draws
+def _shape(data, levels):
+    return tuple(data.draw(st.integers(1, 5)) << levels for _ in range(2))
+
+
+@pytest.mark.parametrize("dtype, lo, hi", [
+    (np.uint8, 0, 255),
+    (np.int16, -2**15, 2**15 - 1),
+    # past 2**53 the float64 conversion rounds; both paths round alike
+    (np.int64, -2**62, -1),
+], ids=["uint8", "int16", "negative_int64"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_integer_image_equals_its_float64_copy(dtype, lo, hi, data):
+    levels = data.draw(st.integers(1, 3))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    img = np.random.default_rng(seed).integers(lo, hi, _shape(data, levels),
+                                               dtype=dtype, endpoint=True)
+    got, want = dwt2(img, levels), dwt2(img.astype(np.float64), levels)
+    assert band_bytes(got) == band_bytes(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_selected_subbands_equal_the_full_pyramids(data):
+    levels = data.draw(st.integers(1, 3))
+    keys = [(s, l) for l in range(1, levels + 1) for s in ORIENTATIONS]
+    subbands = data.draw(st.sets(st.sampled_from(keys)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    img = np.random.default_rng(seed).uniform(0, 255, _shape(data, levels))
+    full = dwt2(img, levels)
+    part = dwt2(img, levels, subbands=subbands)
+    assert set(part.detail) == subbands
+    for key in subbands:
+        assert part.detail[key].tobytes() == full.detail[key].tobytes()
+    assert part.approx is None and part.levels == levels
+    with pytest.raises(ValueError, match="no approximation band"):
+        idwt2(part)
+
+
+@pytest.mark.parametrize("subbands, message", [
+    ([("h", 4)], r"no subband \('h', 4\) in a 3-level pyramid"),
+    ([("h", 0), ("v", 1)], r"no subband \('h', 0\)"),
+    ([("x", 1)], r"no subband \('x', 1\)"),
+], ids=["too_deep", "level_zero", "orientation"])
+def test_unknown_subband_rejected(subbands, message):
+    with pytest.raises(ValueError, match=message):
+        dwt2(np.zeros((32, 32)), 3, subbands=subbands)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwtmark.pixmap import (FormatError, quantize, read_image, read_watermark,
-                            write_image, write_watermark)
+from dwtmark.pixmap import (FormatError, quantize, read_image, read_raster,
+                            read_watermark, write_image, write_watermark)
 
 
 def test_read_p2_transcribes_pixels(tmp_path):
@@ -119,6 +119,37 @@ def test_watermark_roundtrip_property(tmp_path_factory, bits):
     p = tmp_path_factory.mktemp("wm") / "t.pbm"
     write_watermark(wm, p)
     assert (read_watermark(p) == wm).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**256 - 1))
+def test_watermark_bytes_match_the_row_join_formula(tmp_path_factory, bits):
+    wm = np.array([1 if bits >> k & 1 else -1 for k in range(256)],
+                  dtype=np.int8).reshape(16, 16)
+    p = tmp_path_factory.mktemp("wm") / "t.pbm"
+    write_watermark(wm, p)
+    # the reference formula: one str() per digit, rows joined
+    lines = [b"P1", b"16 16"] + [" ".join(str(b) for b in row).encode()
+                                 for row in (wm > 0).astype(np.uint8)]
+    assert p.read_bytes() == b"\n".join(lines) + b"\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_raster_is_the_stored_bytes_of_read_image(tmp_path_factory, data):
+    h, w = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    pixels = data.draw(st.lists(st.integers(0, 255), min_size=h * w,
+                                max_size=h * w))
+    d = tmp_path_factory.mktemp("pgm")
+    (d / "a.pgm").write_bytes(b"P2\n%d %d\n255\n" % (w, h)
+                              + b" ".join(b"%d" % v for v in pixels))
+    (d / "b.pgm").write_bytes(b"P5\n%d %d\n255\n" % (w, h) + bytes(pixels))
+    for p in (d / "a.pgm", d / "b.pgm"):
+        raster = read_raster(p)
+        assert raster.dtype == np.uint8 and raster.shape == (h, w)
+        assert raster.tolist() == np.reshape(pixels, (h, w)).tolist()
+        assert np.array_equal(raster.astype(float), read_image(p))
+        raster[0, 0] = 7   # the caller's own array, not a read-only view
 
 
 @pytest.mark.parametrize("data, field", [

@@ -3,6 +3,7 @@ import pytest
 
 from dwtmark import metrics, watermarker
 from dwtmark.dwt import ORIENTATIONS, WaveletPyramid, dwt2
+from dwtmark.pixmap import quantize
 from dwtmark.watermarker import (DETECTOR_I, DETECTOR_II, EmbedConfig,
                                  compute_thresholds, decode, embed,
                                  embed_image, extract_image, extract_votes,
@@ -434,9 +435,9 @@ def dwt2_calls(monkeypatch):
     monkeypatch.setattr(watermarker, "_cover_memo", None)
     calls = []
 
-    def counting_dwt2(img, levels):
+    def counting_dwt2(img, levels, **kwargs):
         calls.append(img.shape)
-        return dwt2(img, levels)
+        return dwt2(img, levels, **kwargs)
 
     monkeypatch.setattr(watermarker, "dwt2", counting_dwt2)
     return calls
@@ -530,6 +531,75 @@ class TestCoverMemo:
         assert len(dwt2_calls) == 2
 
 
+def as_uint8(img):
+    return quantize(img).astype(np.uint8)
+
+
+class TestIntegerPixels:
+    def test_uint8_and_float_inputs_decode_alike(self, dwt2_calls, lena_like,
+                                                 mark):
+        cover = as_uint8(lena_like)
+        marked, _ = embed_image(cover, mark, CFG)
+        for i, det in enumerate((DETECTOR_I, DETECTOR_II)):
+            received = as_uint8(noisy(marked, i))
+            want = fresh_extract(cover, received, CFG, det)
+            for c, r in ((cover, received), (cover, received.astype(float)),
+                         (cover.astype(float), received)):
+                assert np.array_equal(extract_image(c, r, CFG, det), want)
+        # one cover analysis: every later call, whatever its dtypes, hit
+        assert len(dwt2_calls) == 1 + 1 + 6
+
+    @pytest.mark.parametrize("first", [np.uint8, np.float64])
+    def test_memo_hit_across_dtypes(self, dwt2_calls, lena_like, mark, first):
+        cover = as_uint8(lena_like)
+        marked, _ = embed_image(cover, mark, CFG)
+        received = as_uint8(noisy(marked, 3))
+        other = np.float64 if first is np.uint8 else np.uint8
+        extract_image(cover.astype(first), received, CFG, DETECTOR_II)
+        # the held copy keeps the dtype the cover was passed in
+        held = watermarker._cover_memo[1]
+        assert held.dtype == first and not held.flags.writeable
+        est = extract_image(cover.astype(other), received, CFG, DETECTOR_II)
+        assert len(dwt2_calls) == 1 + 2 + 1
+        assert np.array_equal(est, fresh_extract(cover, received, CFG,
+                                                 DETECTOR_II))
+
+    def test_non_finite_float_cover_after_a_uint8_one(self, dwt2_calls,
+                                                      lena_like):
+        cover = as_uint8(lena_like)
+        extract_image(cover, cover, CFG, DETECTOR_I)
+        bad = cover.astype(float)
+        bad[5, 7] = np.nan
+        with pytest.raises(ValueError, match="cover image has non-finite"):
+            extract_image(bad, cover, CFG, DETECTOR_I)
+        with pytest.raises(ValueError, match="received image has non-finite"):
+            extract_image(cover, bad, CFG, DETECTOR_I)
+        assert len(dwt2_calls) == 2
+
+    def test_suspect_decomposed_into_the_detectors_subbands(self, monkeypatch,
+                                                           lena_like):
+        monkeypatch.setattr(watermarker, "_cover_memo", None)
+        asked = []
+
+        def recording_dwt2(img, levels, subbands=None):
+            asked.append(None if subbands is None else set(subbands))
+            return dwt2(img, levels, subbands=subbands)
+
+        monkeypatch.setattr(watermarker, "dwt2", recording_dwt2)
+        received = noisy(lena_like, 4)
+        for det in (DETECTOR_II, DETECTOR_I, parse_detector("d1,h3")):
+            extract_image(lena_like, received, CFG, det)
+        # the cover is analysed in full once, each suspect in part
+        assert asked == [None, set(DETECTOR_II), set(DETECTOR_I),
+                         {("d", 1), ("h", 3)}]
+
+    def test_detector_deeper_than_the_config_still_refused(self, lena_like):
+        with pytest.raises(ValueError, match="absent from tallies"):
+            extract_image(lena_like, lena_like, CFG, parse_detector("h2,h4"))
+        with pytest.raises(ValueError, match="at least one subband"):
+            extract_image(lena_like, lena_like, CFG, ())
+
+
 class TestConfig:
     def test_alpha_bounds(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -546,6 +616,26 @@ class TestConfig:
     def test_modulation_name(self):
         with pytest.raises(ValueError, match="modulation"):
             EmbedConfig(modulation="sideways")
+
+    @pytest.mark.parametrize("q", [np.array([0.06, 0.04, 0.02]),
+                                   [0.06, 0.04, 0.02], (0.06, 0.04, 0.02),
+                                   np.float32([0.06, 0.04, 0.02])],
+                             ids=["ndarray", "list", "tuple", "float32"])
+    def test_q_is_stored_as_a_tuple_of_floats(self, q):
+        cfg = EmbedConfig(q=q)
+        assert type(cfg.q) is tuple
+        assert all(type(x) is float for x in cfg.q)
+        assert cfg.q == tuple(float(x) for x in q)
+        twin = EmbedConfig(q=tuple(float(x) for x in q))
+        assert cfg == twin and hash(cfg) == hash(twin)
+        if isinstance(q, list):
+            q[0] = 0.5   # the config keeps its own snapshot
+            assert cfg.q[0] == 0.06
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_q_refused(self, bad):
+        with pytest.raises(ValueError, match="q factors"):
+            EmbedConfig(q=np.array([0.06, bad, 0.02]))
 
     def test_parse_detector(self):
         assert parse_detector("I") == DETECTOR_I
