@@ -8,8 +8,11 @@ sizes (default 256 512 1024): PGM write/read, dwt2, idwt2,
 compute_thresholds, embed, extract_votes, decode, embed_image,
 extract_image (the same cover again, two covers in turn, and the same
 uint8 cover with a uint8 suspect under Detector II), every catalog
-attack, psnr, ssim, kl_security and mutual_information.  A layer's figure
-is the median of N perf_counter timings after one warm-up call.
+attack, the JPEG sweep (the nine qualities 10..90 of `bench --jpeg-sweep`
+on one uint8 image, two images taking turns across calls), psnr, ssim,
+kl_security and mutual_information; at 256 also the default `dwtmark
+bench --jpeg-sweep 10..90`.  A layer's figure is the median of N
+perf_counter timings after one warm-up call.
 
 Each checkout (--root, default the one holding this script; it needs
 src/dwtmark and tests/synth.py) is timed in its own process.  With several
@@ -32,6 +35,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import platform
@@ -78,13 +83,26 @@ def time_layers(root, sizes, repeats):
     """Layer -> median ms per size, importing dwtmark from root/src."""
     sys.path[:0] = [str(root / "src"), str(root / "tests")]
     import synth
-    from dwtmark import attacks, dwt, metrics, pixmap, watermarker as wmk
+    from dwtmark import attacks, cli, dwt, metrics, pixmap, watermarker as wmk
 
     cfg = wmk.EmbedConfig()
     wm = synth.benchmark_mark()
     results = {}
+    sweep = [attacks.parse_spec(f"jpeg:q={q}") for q in range(10, 100, 10)]
+
+    def jpeg_sweep(img):
+        for spec in sweep:
+            attacks.apply_attack(img, spec)
+
+    def bench(cover_path, mark_path, out):
+        with contextlib.redirect_stderr(io.StringIO()):
+            cli.main(["bench", str(cover_path), str(mark_path),
+                      "--jpeg-sweep", "10..90", "--out", str(out)])
+
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "image.pgm"
+        mark_path = Path(tmp) / "mark.pbm"
+        pixmap.write_watermark(wm, mark_path)
         for n in sizes:
             cover = synth.benchmark_image(1, n)
             other = synth.benchmark_image(2, n)
@@ -96,6 +114,8 @@ def time_layers(root, sizes, repeats):
             turns = itertools.cycle([other, cover])
             cover_u8, sent_u8 = (pixmap.quantize(x).astype("uint8")
                                  for x in (cover, sent))
+            sent_turns = itertools.cycle(
+                [sent_u8, pixmap.quantize(other).astype("uint8")])
             layers = {
                 "pixmap.write_image": lambda: pixmap.write_image(marked, path),
                 "pixmap.read_image": lambda: pixmap.read_image(path),
@@ -127,6 +147,12 @@ def time_layers(root, sizes, repeats):
                 spec = attacks.parse_spec(kind)
                 layers[f"attacks.apply_attack.{kind}"] = (
                     lambda spec=spec: attacks.apply_attack(sent, spec))
+            layers["attacks.jpeg_sweep"] = lambda: jpeg_sweep(next(sent_turns))
+            if n == 256:
+                cover_path = Path(tmp) / "cover.pgm"
+                pixmap.write_image(cover, cover_path)
+                layers["cli.bench.jpeg_sweep"] = lambda: bench(
+                    cover_path, mark_path, Path(tmp) / "report.json")
             results[str(n)] = {name: median_ms(fn, repeats)
                                for name, fn in layers.items()}
     return results

@@ -1,12 +1,14 @@
 """Channel attack catalog: deterministic image impairments.
 
-Every attack quantizes its input to 8-bit first (it models an image that
-was saved and transmitted; a NaN or infinite pixel is rejected) and
+Every attack takes a non-empty 2-D image, which models an image that was
+saved and transmitted: a uint8 image is used as it is, any other is
+quantized to 8 bits first (a NaN or infinite pixel is rejected).  It
 returns an 8-bit-valued image of the same size.  The 3x3 median, erosion
 and dilation are min/max networks on those 8-bit values, so they are
 exact: there is no arithmetic to round.  Noise attacks draw from a
 seeded position-indexed generator, so a given (spec, seed) is
-bit-reproducible.
+bit-reproducible.  A JPEG quality sweep of one image runs its forward
+DCT once (see `_dct_memo`).
 
 Specs serialize as ``kind:key=value,key=value`` strings, e.g. ``jpeg:q=50``
 or ``awgn:snr_db=11.4,seed=7``.
@@ -20,7 +22,7 @@ import numpy as np
 from scipy import fft as sfft
 from scipy import ndimage
 
-from .pixmap import finite_image, quantize
+from .pixmap import ImageMemo, input_image, quantize
 
 
 class AttackSpecError(ValueError):
@@ -85,7 +87,10 @@ def apply_attack(img, spec, default_seed=0):
     params.update(spec.params)
     for key, value in params.items():
         _checked(spec.kind, key, value)
-    img = quantize(finite_image(img, "input"))
+    img = input_image(img, "input")
+    if img.ndim != 2 or not img.size:
+        raise ValueError(f"attack needs a non-empty 2-D image, got {img.shape}")
+    img = img.astype(np.float64) if img.dtype == np.uint8 else quantize(img)
     try:
         # an overflow or NaN on the way shows in the result, checked below
         with np.errstate(all="ignore"):
@@ -354,14 +359,31 @@ def jpeg_codec(img, quality):
     DCT, unshift, clamp.  Entropy coding is lossless and therefore
     omitted; all the damage comes from coefficient quantization.
     """
-    img = quantize(np.asarray(img, dtype=np.float64))
+    return quantize(_jpeg(quantize(np.asarray(img, dtype=np.float64)), quality))
+
+
+# the last image the codec transformed, held as uint8, and its read-only
+# blockwise DCT: a JPEG quality sweep transforms one image once
+_dct_memo = ImageMemo(np.uint8)
+
+
+def _block_dct(img):
+    """The image's read-only 8x8 blockwise DCT, level-shifted by 128."""
     h, w = img.shape
-    if h % 8 or w % 8:
-        raise AttackSpecError(f"jpeg needs dimensions divisible by 8, got {h}x{w}")
-    qt = quality_table(int(quality))
     blocks = img.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3) - 128.0
     coefs = sfft.dctn(blocks, type=2, norm="ortho", axes=(2, 3),
                       overwrite_x=True)
+    coefs.flags.writeable = False
+    return coefs
+
+
+def _jpeg(img, q):
+    """jpeg_codec's round trip of an 8-bit-valued image, unclamped."""
+    h, w = img.shape
+    if h % 8 or w % 8:
+        raise AttackSpecError(f"jpeg needs dimensions divisible by 8, got {h}x{w}")
+    qt = quality_table(int(q))
+    coefs = _dct_memo.get(img, None, _block_dct)
     # sign(c) * floor(|c| / qt + 0.5) * qt, in place: the same rounded
     # operations with fewer full-size temporaries
     levels = np.abs(coefs)
@@ -373,11 +395,7 @@ def jpeg_codec(img, quality):
     rec = sfft.idctn(levels, type=2, norm="ortho", axes=(2, 3),
                      overwrite_x=True)
     rec += 128.0
-    return quantize(rec.transpose(0, 2, 1, 3).reshape(h, w))
-
-
-def _jpeg(img, q):
-    return jpeg_codec(img, int(q))
+    return rec.transpose(0, 2, 1, 3).reshape(h, w)
 
 
 # kind -> (implementation, default params); a "seed" default marks an

@@ -25,8 +25,8 @@ from .attacks import DEFAULT_BENCH, apply_attack, parse_spec
 from .dwt import dwt2
 from .pixmap import (quantize, read_image, read_raster, read_watermark,
                      write_image, write_watermark)
-from .watermarker import (EmbedConfig, decode, embed_image, extract_image,
-                          parse_detector, tally_votes)
+from .watermarker import (EmbedConfig, decode_each, embed_image,
+                          extract_image, parse_detector, tally_votes)
 
 REPORT_VERSION = 1
 SEED_ENV = "DWTMARK_SEED"
@@ -107,7 +107,7 @@ def cmd_extract(args):
 def cmd_attack(args):
     spec = parse_spec(args.spec)
     seed = _default_seed(args)
-    out = apply_attack(read_image(args.input), spec, default_seed=seed)
+    out = apply_attack(read_raster(args.input), spec, default_seed=seed)
     write_image(out, args.out)
     return 0
 
@@ -151,25 +151,24 @@ def cmd_bench(args):
     # the cover's map, restricted to the subbands some detector uses
     reference = {key: embed_report.reference[key]
                  for structure in detectors.values() for key in structure}
-    transmitted = quantize(marked)
+    transmitted = quantize(marked).astype(np.uint8)
 
     def score(spec_text, repeat):
-        """Detector name -> (BERs, NCCs) over `repeat` seeded trials.
+        """Detector name -> BERs over `repeat` seeded trials.
 
         Each attacked image is decomposed into the detectors' subbands
         and tallied once against the cover reference; every detector
-        decodes from that one tally.
+        decodes from that one tally.  The marks are +-1, so a trial's
+        NCC is exactly 1 - 2*BER.
         """
         spec = parse_spec(spec_text)
-        runs = {name: ([], []) for name in sorted(detectors)}
+        runs = {name: [] for name in sorted(detectors)}
         for rep_i in range(repeat):
             attacked = apply_attack(transmitted, spec, default_seed=seed + rep_i)
             tallies = tally_votes(reference, dwt2(attacked, cfg.levels,
                                                   subbands=reference))
-            for name, (bers, nccs) in runs.items():
-                est = decode(tallies, detectors[name])
-                bers.append(metrics.ber(wm, est))
-                nccs.append(metrics.ncc(wm, est))
+            for name, est in decode_each(tallies, detectors).items():
+                runs[name].append(metrics.ber(wm, est))
         return runs
 
     report = {
@@ -203,9 +202,9 @@ def cmd_bench(args):
             row["error"] = str(e)
         else:
             row["detectors"] = {}
-            for name, (bers, nccs) in runs.items():
+            for name, bers in runs.items():
                 entry = {"ber": _round6(np.mean(bers)),
-                         "ncc": _round6(np.mean(nccs))}
+                         "ncc": _round6(np.mean([1.0 - 2.0 * b for b in bers]))}
                 if args.repeat > 1:
                     entry["ber_std"] = _round6(np.std(bers))
                 row["detectors"][name] = entry
@@ -213,8 +212,8 @@ def cmd_bench(args):
 
     sweep_rows = []
     for quality in qualities:
-        for name, (bers, nccs) in score(f"jpeg:q={quality}", 1).items():
-            sweep_rows.append((quality, name, _round6(bers[0]), _round6(nccs[0])))
+        for name, (ber,) in score(f"jpeg:q={quality}", 1).items():
+            sweep_rows.append((quality, name, _round6(ber), _round6(1.0 - 2.0 * ber)))
 
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

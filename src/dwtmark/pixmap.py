@@ -3,7 +3,8 @@
 Images are 2-D float64 numpy arrays in row-major order, nominal range
 [0, 255].  Intensities stay real-valued through the whole pipeline;
 quantization to 8 bits happens only when a file is written (and at the
-entry of each attack, which models a transmitted 8-bit image).
+entry of an attack, which models a transmitted 8-bit image, unless the
+image is uint8 already).
 `read_raster` returns a PGM's stored 8-bit pixels as uint8, for callers
 that take integer images as they are (extraction does); `read_image` is
 its float64 copy.
@@ -109,6 +110,35 @@ def finite_image(img, name):
     if not np.isfinite(img).all():
         raise ValueError(f"{name} image has non-finite pixel values")
     return img
+
+
+def input_image(img, name):
+    """An integer image as it is (always finite), else finite_image(img)."""
+    img = np.asarray(img)
+    return img if np.issubdtype(img.dtype, np.integer) else finite_image(img, name)
+
+
+class ImageMemo:
+    """A one-slot memo: (key, a read-only copy of an image in `dtype`, else
+    its own, the value computed from it), replaced by one assignment so a
+    racing thread reads the old slot or the new one, never a mix.  Images
+    compare by value across dtypes; one `dtype` cannot hold is not kept."""
+
+    def __init__(self, dtype=None):
+        self.dtype, self.slot = dtype, None
+
+    def get(self, img, key, compute, *args):
+        """The held value if img and key match the slot, else compute(img, *args)."""
+        slot = self.slot
+        if slot is not None and slot[0] == key and np.array_equal(slot[1], img):
+            return slot[2]
+        value = compute(img, *args)
+        with np.errstate(invalid="ignore"):
+            held = np.array(img, dtype=self.dtype)
+        if np.array_equal(held, img):
+            held.flags.writeable = False
+            self.slot = (key, held, value)
+        return value
 
 
 def read_raster(path):

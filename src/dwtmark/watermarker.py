@@ -28,7 +28,7 @@ import numpy as np
 
 from . import metrics
 from .dwt import ORIENTATIONS, WaveletPyramid, dwt2, idwt2
-from .pixmap import WM_SIZE, finite_image, validate_watermark
+from .pixmap import WM_SIZE, ImageMemo, input_image, validate_watermark
 
 # detector structures from the two best-performing decoders: all nine
 # detail subbands, and the low-frequency trio {h@2, v@2, v@3}
@@ -215,15 +215,21 @@ def decode(tallies, detector):
     (abstaining on a tie or empty tally); the final bit is the sign of
     the verdict sum, with ties resolved to +1.
     """
-    if not detector:
+    return decode_each(tallies, {None: detector})[None]
+
+
+def decode_each(tallies, detectors):
+    """{name: decode(tallies, d)} for a dict name -> detector structure d,
+    with the subband stage run once for each subband any of them names."""
+    if not all(detectors.values()):
         raise ValueError("detector structure must name at least one subband")
-    verdict_sum = np.zeros((WM_SIZE, WM_SIZE), dtype=np.int64)
-    for key in detector:
+    keys = dict.fromkeys(key for d in detectors.values() for key in d)
+    for key in keys:
         if key not in tallies:
             raise ValueError(f"detector names subband {key} absent from tallies")
-        tally = tallies[key]
-        verdict_sum += np.sign(tally[0] - tally[1]).astype(np.int64)
-    return np.where(verdict_sum >= 0, 1, -1).astype(np.int8)
+    verdicts = {key: np.sign(tallies[key][0] - tallies[key][1]) for key in keys}
+    return {name: np.where(sum(verdicts[key] for key in d) >= 0, 1,
+                           -1).astype(np.int8) for name, d in detectors.items()}
 
 
 def _embedding_psnr(reference, marked_pyr, pixels):
@@ -252,7 +258,7 @@ def embed_image(cover, wm, cfg=EmbedConfig()):
     the real-valued reconstruction against the cover.  Raises ValueError
     when the cover cannot carry the mark (see require_capacity).
     """
-    cover = finite_image(cover, "cover")
+    cover = input_image(cover, "cover")
     pyr = dwt2(cover, cfg.levels)
     marked_pyr, report = embed(pyr, wm, cfg)
     require_capacity(report.reference)
@@ -260,39 +266,17 @@ def embed_image(cover, wm, cfg=EmbedConfig()):
     return idwt2(marked_pyr), report
 
 
-# extract_image's last cover: (the reference's config fields, a read-only
-# copy of the cover in the dtype it was passed, its vote_reference),
-# replaced by one assignment so a racing thread reads the old slot or the
-# new one, never a mix
-_cover_memo = None
+# extract_image's last cover, in the dtype it was passed, keyed by the
+# reference's config fields, and its vote_reference
+_cover_memo = ImageMemo()
 
 
 def _cover_reference(cover, cfg):
-    """vote_reference of the cover, reused while cover and config repeat.
-
-    The reference depends on the cover's pixels and on cfg's levels,
-    modulation and q factors of those levels; a call that repeats all of
-    them gets the stored reference (its arrays are read-only).  Pixels
-    compare by value across dtypes, as dwt2 reads them.  A cover that
-    fails require_capacity is never stored.
-    """
-    global _cover_memo
-    key = (cfg.levels, cfg.modulation, cfg.q[:cfg.levels])
-    memo = _cover_memo
-    if memo is not None and memo[0] == key and np.array_equal(memo[1], cover):
-        return memo[2]
+    """vote_reference of the cover, if it passes require_capacity; it
+    depends on cfg's levels, modulation and q factors of those levels."""
     reference = vote_reference(dwt2(cover, cfg.levels), cfg)
     require_capacity(reference)
-    held = cover.copy()
-    held.flags.writeable = False
-    _cover_memo = (key, held, reference)
     return reference
-
-
-def _pixels(img, name):
-    """An integer image as it is (always finite), else finite_image(img)."""
-    img = np.asarray(img)
-    return img if np.issubdtype(img.dtype, np.integer) else finite_image(img, name)
 
 
 def extract_image(cover, received, cfg=EmbedConfig(), detector=DETECTOR_I):
@@ -306,12 +290,13 @@ def extract_image(cover, received, cfg=EmbedConfig(), detector=DETECTOR_I):
     dtype, and its reference stay in memory.  The received image is
     decomposed only into the detector's subbands.
     """
-    cover = _pixels(cover, "cover")
-    received = _pixels(received, "received")
+    cover = input_image(cover, "cover")
+    received = input_image(received, "received")
     if cover.shape != received.shape:
         raise ValueError(
             f"cover {cover.shape} and received {received.shape} differ in size")
-    reference = _cover_reference(cover, cfg)
+    key = (cfg.levels, cfg.modulation, cfg.q[:cfg.levels])
+    reference = _cover_memo.get(cover, key, _cover_reference, cfg)
     # a subband the reference lacks is left to decode to report
     used = {key: reference[key] for key in detector if key in reference}
     return decode(tally_votes(used, dwt2(received, cfg.levels, subbands=used)),

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 from scipy import ndimage
 
 from dwtmark import attacks
 from dwtmark.attacks import (CATALOG, DEFAULT_BENCH, AttackSpec,
                              AttackSpecError, apply_attack, jpeg_codec,
                              parse_spec, quality_table)
+from dwtmark.pixmap import quantize
 
 
 def naive_dct2(block):
@@ -404,3 +406,114 @@ def test_every_catalog_kind_runs(lena_like):
     for kind in CATALOG:
         out = apply_attack(small, AttackSpec(kind=kind))
         assert out.shape == small.shape
+
+
+# --- the 8-bit input gate ---------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(16,), (2, 16, 16), (0, 0), (0, 8)],
+                         ids=str)
+@pytest.mark.parametrize("kind", sorted(CATALOG))
+def test_non_image_input_rejected_before_the_attack(kind, shape):
+    for dtype in (np.uint8, np.float64):
+        with pytest.raises(ValueError, match="non-empty 2-D image"):
+            apply_attack(np.zeros(shape, dtype), AttackSpec(kind=kind))
+
+
+@pytest.mark.parametrize("kind", sorted(CATALOG))
+def test_uint8_input_attacked_like_its_float_copy(lena_like, kind):
+    u8 = quantize(lena_like[:64, :64]).astype(np.uint8)
+    before = u8.copy()
+    got = apply_attack(u8, AttackSpec(kind=kind), default_seed=5)
+    want = apply_attack(u8.astype(np.float64), AttackSpec(kind=kind),
+                        default_seed=5)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.array_equal(u8, before)
+
+
+def test_other_integer_images_are_clamped():
+    img = np.full((16, 16), 100, dtype=np.int16)
+    img[0, :2] = (300, -5)
+    out = apply_attack(img, parse_spec("invert"))
+    assert out[0, 0] == 0 and out[0, 1] == 255 and out[1, 1] == 155
+
+
+# --- the codec's forward-DCT memo -------------------------------------------
+
+def reference_jpeg(img, quality):
+    """jpeg_codec without the DCT memo: the bytes the codec must match."""
+    img = quantize(np.asarray(img, dtype=np.float64))
+    h, w = img.shape
+    qt = quality_table(int(quality))
+    blocks = img.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3) - 128.0
+    coefs = sfft.dctn(blocks, type=2, norm="ortho", axes=(2, 3),
+                      overwrite_x=True)
+    levels = np.abs(coefs)
+    levels /= qt
+    levels += 0.5
+    np.floor(levels, out=levels)
+    levels *= np.sign(coefs)
+    levels *= qt
+    rec = sfft.idctn(levels, type=2, norm="ortho", axes=(2, 3),
+                     overwrite_x=True)
+    rec += 128.0
+    return quantize(rec.transpose(0, 2, 1, 3).reshape(h, w))
+
+
+@pytest.fixture
+def dct_calls(monkeypatch):
+    """Empty the codec's DCT memo and count the forward DCTs it runs."""
+    monkeypatch.setattr(attacks._dct_memo, "slot", None)
+    calls = []
+    block_dct = attacks._block_dct
+
+    def counting(img):
+        calls.append(img.shape)
+        return block_dct(img)
+
+    monkeypatch.setattr(attacks, "_block_dct", counting)
+    return calls
+
+
+class TestDctMemo:
+    def test_matches_the_reference_through_hits_and_misses(self, dct_calls,
+                                                           lena_like):
+        a = lena_like[:64, :96]
+        b = 255.0 - lena_like[64:128, :96]
+        turns = [a, a, b, a, b, b, a[:, :64]]   # two images, then a new shape
+        for q in range(1, 101):
+            img = turns[q % len(turns)]
+            got = jpeg_codec(img, q)
+            assert got.tobytes() == reference_jpeg(img, q).tobytes(), q
+        assert 0 < len(dct_calls) < 100
+        assert (64, 64) in dct_calls
+
+    def test_writes_into_the_callers_image_are_seen(self, dct_calls,
+                                                    lena_like):
+        img = quantize(lena_like[:64, :64]).astype(np.uint8)
+        for i, q in enumerate((50, 50, 70, 30)):
+            if i < 3:
+                img[3, 5 + i] ^= 0xFF   # same array, new pixels: a miss
+            got = apply_attack(img, parse_spec(f"jpeg:q={q}"))
+            assert got.tobytes() == reference_jpeg(img, q).tobytes()
+        assert len(dct_calls) == 3   # the last call changed nothing: a hit
+
+    def test_holds_a_uint8_key_and_read_only_coefficients(self, dct_calls,
+                                                          lena_like):
+        img = lena_like[:64, :96]
+        jpeg_codec(img, 50)
+        key, held, coefs = attacks._dct_memo.slot
+        assert key is None and held.dtype == np.uint8
+        assert np.array_equal(held, quantize(img))
+        assert not held.flags.writeable and not coefs.flags.writeable
+        assert held.nbytes + coefs.nbytes == 9 * img.size   # 9 B/px
+
+    def test_an_image_the_key_cannot_hold_is_not_stored(self, dct_calls,
+                                                        lena_like):
+        img = quantize(lena_like[:64, :64])
+        img[0, 0] = 0.0
+        bad = img.copy()
+        bad[0, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            jpeg_codec(bad, 50)
+        assert attacks._dct_memo.slot is None
+        assert jpeg_codec(img, 50).tobytes() == reference_jpeg(img, 50).tobytes()

@@ -1,9 +1,10 @@
+import csv
 import hashlib
 import json
 
 import pytest
 
-from dwtmark import cli
+from dwtmark import attacks, cli
 from dwtmark.cli import _round6, main
 from dwtmark.pixmap import read_image, read_watermark, write_image, write_watermark
 from dwtmark.watermarker import DETECTOR_I, DETECTOR_II, EmbedConfig
@@ -263,6 +264,29 @@ def test_bench_jpeg_sweep_csv(workdir):
         assert bers[0] >= bers[-1]  # higher quality never hurts
 
 
+def test_bench_sweep_point_equals_its_attack_row(workdir, monkeypatch):
+    monkeypatch.setattr(attacks._dct_memo, "slot", None)
+    dcts = []
+    block_dct = attacks._block_dct
+    monkeypatch.setattr(attacks, "_block_dct",
+                        lambda img: dcts.append(img.shape) or block_dct(img))
+    main(["bench", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
+          "--attacks", "jpeg:q=50", "--jpeg-sweep", "40..60",
+          "--out", str(workdir / "r.json"),
+          "--sweep-out", str(workdir / "sweep.csv")])
+    row = json.loads((workdir / "r.json").read_text())["attacks"][0]
+    with open(workdir / "sweep.csv", newline="") as fh:
+        sweep = list(csv.DictReader(fh))
+    assert len(sweep) == 3 * 2
+    at_50 = {s["detector"]: s for s in sweep if s["quality"] == "50"}
+    assert sorted(at_50) == ["I", "II"]
+    for name, entry in row["detectors"].items():
+        assert (float(at_50[name]["ber"]), float(at_50[name]["ncc"])) == (
+            entry["ber"], entry["ncc"])
+    # the row transforms the transmitted image; every sweep point reuses it
+    assert len(dcts) == 1
+
+
 def test_bench_deterministic_byte_identical(workdir):
     for name in ("r1", "r2"):
         main(["bench", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
@@ -458,6 +482,7 @@ def test_bad_env_seed_rejected_before_work(workdir, capsys, monkeypatch,
     def no_work(*_):
         raise AssertionError("read an input before checking the seed")
     monkeypatch.setattr(cli, "read_image", no_work)
+    monkeypatch.setattr(cli, "read_raster", no_work)
     monkeypatch.setenv("DWTMARK_SEED", env)
     out = workdir / "out"
     args = {"bench": ["bench", str(workdir / "cover.pgm"),

@@ -432,7 +432,7 @@ class TestEmbeddingPsnr:
 @pytest.fixture
 def dwt2_calls(monkeypatch):
     """Empty extract_image's cover memo and record each dwt2 call's shape."""
-    monkeypatch.setattr(watermarker, "_cover_memo", None)
+    monkeypatch.setattr(watermarker._cover_memo, "slot", None)
     calls = []
 
     def counting_dwt2(img, levels, **kwargs):
@@ -518,7 +518,7 @@ class TestCoverMemo:
             with pytest.raises(ValueError, match="cannot carry the mark"):
                 extract_image(cover, cover, CFG, DETECTOR_I)
             assert len(dwt2_calls) == i + 1
-        assert watermarker._cover_memo is None
+        assert watermarker._cover_memo.slot is None
 
     def test_non_finite_cover_after_a_cached_one(self, dwt2_calls, lena_like):
         extract_image(lena_like, lena_like, CFG, DETECTOR_I)
@@ -549,6 +549,14 @@ class TestIntegerPixels:
         # one cover analysis: every later call, whatever its dtypes, hit
         assert len(dwt2_calls) == 1 + 1 + 6
 
+    def test_uint8_cover_embeds_like_its_float_copy(self, lena_like, mark):
+        cover = as_uint8(lena_like)
+        marked, report = embed_image(cover, mark, CFG)
+        want, want_report = embed_image(cover.astype(np.float64), mark, CFG)
+        assert marked.tobytes() == want.tobytes()
+        assert report.psnr == want_report.psnr
+        assert report.total_modified == want_report.total_modified
+
     @pytest.mark.parametrize("first", [np.uint8, np.float64])
     def test_memo_hit_across_dtypes(self, dwt2_calls, lena_like, mark, first):
         cover = as_uint8(lena_like)
@@ -557,7 +565,7 @@ class TestIntegerPixels:
         other = np.float64 if first is np.uint8 else np.uint8
         extract_image(cover.astype(first), received, CFG, DETECTOR_II)
         # the held copy keeps the dtype the cover was passed in
-        held = watermarker._cover_memo[1]
+        held = watermarker._cover_memo.slot[1]
         assert held.dtype == first and not held.flags.writeable
         est = extract_image(cover.astype(other), received, CFG, DETECTOR_II)
         assert len(dwt2_calls) == 1 + 2 + 1
@@ -578,7 +586,7 @@ class TestIntegerPixels:
 
     def test_suspect_decomposed_into_the_detectors_subbands(self, monkeypatch,
                                                            lena_like):
-        monkeypatch.setattr(watermarker, "_cover_memo", None)
+        monkeypatch.setattr(watermarker._cover_memo, "slot", None)
         asked = []
 
         def recording_dwt2(img, levels, subbands=None):
