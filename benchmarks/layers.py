@@ -11,7 +11,7 @@ uint8 cover with a uint8 suspect under Detector II), every catalog
 attack, the JPEG sweep (the nine qualities 10..90 of `bench --jpeg-sweep`
 on one uint8 image, two images taking turns across calls), psnr, ssim,
 kl_security and mutual_information; at 256 also the default `dwtmark
-bench --jpeg-sweep 10..90`.  A layer's figure is the median of N
+bench --jpeg-sweep 10..90`, two covers taking turns.  A layer's figure is the median of N
 perf_counter timings after one warm-up call.
 
 Each checkout (--root, default the one holding this script; it needs
@@ -94,7 +94,7 @@ def time_layers(root, sizes, repeats):
         for spec in sweep:
             attacks.apply_attack(img, spec)
 
-    def bench(cover_path, mark_path, out):
+    def bench(cover_path, out):
         with contextlib.redirect_stderr(io.StringIO()):
             cli.main(["bench", str(cover_path), str(mark_path),
                       "--jpeg-sweep", "10..90", "--out", str(out)])
@@ -149,10 +149,12 @@ def time_layers(root, sizes, repeats):
                     lambda spec=spec: attacks.apply_attack(sent, spec))
             layers["attacks.jpeg_sweep"] = lambda: jpeg_sweep(next(sent_turns))
             if n == 256:
-                cover_path = Path(tmp) / "cover.pgm"
-                pixmap.write_image(cover, cover_path)
+                covers = [Path(tmp) / f"cover_{i}.pgm" for i in (1, 2)]
+                for img, cover_path in zip((cover, other), covers):
+                    pixmap.write_image(img, cover_path)
+                cover_turns = itertools.cycle(covers)
                 layers["cli.bench.jpeg_sweep"] = lambda: bench(
-                    cover_path, mark_path, Path(tmp) / "report.json")
+                    next(cover_turns), Path(tmp) / "report.json")
             results[str(n)] = {name: median_ms(fn, repeats)
                                for name, fn in layers.items()}
     return results
