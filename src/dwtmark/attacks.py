@@ -45,10 +45,7 @@ def parse_spec(text):
     """Parse a ``kind:key=value,...`` string into an AttackSpec."""
     kind, _, rest = text.strip().partition(":")
     kind = kind.strip()
-    if kind not in CATALOG:
-        raise AttackSpecError(
-            f"unknown attack {kind!r}; valid kinds: {', '.join(sorted(CATALOG))}")
-    _, defaults = CATALOG[kind]
+    _, defaults = _catalog_entry(kind)
     params = {}
     if rest:
         for item in rest.split(","):
@@ -67,6 +64,14 @@ def parse_spec(text):
     return AttackSpec(kind=kind, params=params)
 
 
+def _catalog_entry(kind):
+    """CATALOG[kind], else AttackSpecError naming the valid kinds."""
+    if kind not in CATALOG:
+        raise AttackSpecError(f"unknown attack {kind!r}; valid kinds: "
+                              f"{', '.join(sorted(CATALOG))}")
+    return CATALOG[kind]
+
+
 def _checked(kind, key, value):
     """`value` if it is finite (and, for a seed, non-negative)."""
     if not -math.inf < value < math.inf or (key == "seed" and value < 0):
@@ -76,11 +81,7 @@ def _checked(kind, key, value):
 
 def apply_attack(img, spec, default_seed=0):
     """Run one attack; returns the impaired 8-bit-valued image."""
-    if spec.kind not in CATALOG:
-        raise AttackSpecError(
-            f"unknown attack {spec.kind!r}; valid kinds: "
-            f"{', '.join(sorted(CATALOG))}")
-    impl, defaults = CATALOG[spec.kind]
+    impl, defaults = _catalog_entry(spec.kind)
     params = dict(defaults)
     if "seed" in params:
         params["seed"] = default_seed
@@ -357,9 +358,10 @@ def jpeg_codec(img, quality):
     Level-shift by 128, 8x8 orthonormal DCT-II, divide by the scaled
     luminance table rounding half away from zero, dequantize, inverse
     DCT, unshift, clamp.  Entropy coding is lossless and therefore
-    omitted; all the damage comes from coefficient quantization.
+    omitted; all the damage comes from coefficient quantization.  It is
+    apply_attack's jpeg, so a NaN or infinite pixel is refused.
     """
-    return quantize(_jpeg(quantize(np.asarray(img, dtype=np.float64)), quality))
+    return apply_attack(img, AttackSpec("jpeg", {"q": quality}))
 
 
 # the last image the codec transformed, held as uint8, and its read-only

@@ -2,11 +2,10 @@
 
 The bench command analyses the cover once: embedding returns the cover's
 vote reference, its one significance map.  It runs the attack catalog
-against the watermarked image, decomposes each attacked image once, into
-the subbands the requested detectors use, and tallies it against that
-reference, decodes every requested detector
-(`--detectors`, ';'-separated) from that image's one vote tally and
-writes a JSON report (plus a CSV when a JPEG quality sweep is requested).
+against the watermarked image, tallies each attacked image once against
+that reference (`tally_image`), decodes every requested detector
+(`--detectors`, ';'-separated) from that one tally and writes a JSON
+report (plus a CSV when a JPEG quality sweep is requested).
 Reports are deterministic for a given (inputs, flags, seed).
 """
 
@@ -22,11 +21,10 @@ import numpy as np
 
 from . import metrics
 from .attacks import DEFAULT_BENCH, apply_attack, parse_spec
-from .dwt import dwt2
-from .pixmap import (quantize, read_image, read_raster, read_watermark,
-                     write_image, write_watermark)
+from .pixmap import (quantize, read_raster, read_watermark, write_image,
+                     write_watermark)
 from .watermarker import (EmbedConfig, decode_each, embed_image,
-                          extract_image, parse_detector, tally_votes)
+                          extract_image, parse_detector, tally_image)
 
 REPORT_VERSION = 1
 SEED_ENV = "DWTMARK_SEED"
@@ -34,11 +32,10 @@ SEED_ENV = "DWTMARK_SEED"
 
 def _round6(x):
     x = float(x)
-    if math.isnan(x):
-        raise ValueError("refusing to report a NaN metric")
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return round(x, 6)
+    if math.isnan(x) or x == -math.inf:
+        raise ValueError("refusing to report a "
+                         f"{'NaN' if math.isnan(x) else '-inf'} metric")
+    return "inf" if x == math.inf else round(x, 6)
 
 
 def _config_from_args(args):
@@ -80,7 +77,7 @@ def _detector(text, cfg):
 
 
 def cmd_embed(args):
-    cover = read_image(args.cover)
+    cover = read_raster(args.cover)
     wm = read_watermark(args.watermark)
     cfg = _config_from_args(args)
     marked, report = embed_image(cover, wm, cfg)
@@ -144,29 +141,26 @@ def cmd_bench(args):
     cfg = _config_from_args(args)
     detectors = {name.strip(): _detector(name, cfg)
                  for name in args.detectors.split(";")}
-    cover = read_image(args.cover)
+    cover = read_raster(args.cover)
     wm = read_watermark(args.watermark)
 
     marked, embed_report = embed_image(cover, wm, cfg)
-    # the cover's map, restricted to the subbands some detector uses
-    reference = {key: embed_report.reference[key]
-                 for structure in detectors.values() for key in structure}
+    used = [key for structure in detectors.values() for key in structure]
     transmitted = quantize(marked).astype(np.uint8)
 
     def score(spec_text, repeat):
         """Detector name -> BERs over `repeat` seeded trials.
 
-        Each attacked image is decomposed into the detectors' subbands
-        and tallied once against the cover reference; every detector
-        decodes from that one tally.  The marks are +-1, so a trial's
-        NCC is exactly 1 - 2*BER.
+        Each attacked image is tallied once against the cover reference,
+        in the detectors' subbands; every detector decodes from that one
+        tally.  The marks are +-1, so a trial's NCC is exactly 1 - 2*BER.
         """
         spec = parse_spec(spec_text)
         runs = {name: [] for name in sorted(detectors)}
         for rep_i in range(repeat):
             attacked = apply_attack(transmitted, spec, default_seed=seed + rep_i)
-            tallies = tally_votes(reference, dwt2(attacked, cfg.levels,
-                                                  subbands=reference))
+            tallies = tally_image(embed_report.reference, attacked,
+                                  cfg.levels, used)
             for name, est in decode_each(tallies, detectors).items():
                 runs[name].append(metrics.ber(wm, est))
         return runs
@@ -240,7 +234,6 @@ def build_parser():
     p.add_argument("watermark")
     p.add_argument("out")
     _add_config_flags(p)
-    p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("extract", help="recover the mark from a received image")
     p.add_argument("cover")
@@ -250,14 +243,12 @@ def build_parser():
                    help="I, II, or a subband list like h2,v2,v3")
     p.add_argument("--truth", help="reference mark (PBM) for BER/NCC")
     _add_config_flags(p)
-    p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("attack", help="apply one attack to an image")
     p.add_argument("input")
     p.add_argument("out")
     p.add_argument("spec", help="e.g. jpeg:q=50 or awgn:snr_db=11.4,seed=7")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("bench", help="run the full attack/detector matrix")
     p.add_argument("cover")
@@ -276,7 +267,6 @@ def build_parser():
     p.add_argument("--out", default="report.json")
     p.add_argument("--sweep-out", default=None)
     _add_config_flags(p)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -1,13 +1,10 @@
 """Grayscale image and watermark I/O (netpbm PGM/PBM formats).
 
-Images are 2-D float64 numpy arrays in row-major order, nominal range
-[0, 255].  Intensities stay real-valued through the whole pipeline;
-quantization to 8 bits happens only when a file is written (and at the
-entry of an attack, which models a transmitted 8-bit image, unless the
-image is uint8 already).
-`read_raster` returns a PGM's stored 8-bit pixels as uint8, for callers
-that take integer images as they are (extraction does); `read_image` is
-its float64 copy.
+Images are 2-D arrays in row-major order, nominal range [0, 255].
+`read_raster` returns a PGM's stored pixels as uint8, and the pipeline
+takes integer images as they are (any other as float64); `read_image` is
+the float64 copy.  Intensities stay real-valued until a file is written or
+an attack quantizes its input, which models a transmitted 8-bit image.
 
 Watermarks are 16x16 int arrays with entries in {-1, +1}.  The file
 mapping is fixed: PBM bit 1 -> +1, bit 0 -> -1.
@@ -122,7 +119,8 @@ class ImageMemo:
     """A one-slot memo: (key, a read-only copy of an image in `dtype`, else
     its own, the value computed from it), replaced by one assignment so a
     racing thread reads the old slot or the new one, never a mix.  Images
-    compare by value across dtypes; one `dtype` cannot hold is not kept."""
+    compare by value across dtypes, so every image passed must be finite
+    and, given a `dtype`, hold values that dtype holds exactly."""
 
     def __init__(self, dtype=None):
         self.dtype, self.slot = dtype, None
@@ -133,11 +131,9 @@ class ImageMemo:
         if slot is not None and slot[0] == key and np.array_equal(slot[1], img):
             return slot[2]
         value = compute(img, *args)
-        with np.errstate(invalid="ignore"):
-            held = np.array(img, dtype=self.dtype)
-        if np.array_equal(held, img):
-            held.flags.writeable = False
-            self.slot = (key, held, value)
+        held = np.array(img, dtype=self.dtype)
+        held.flags.writeable = False
+        self.slot = (key, held, value)
         return value
 
 

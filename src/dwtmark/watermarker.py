@@ -17,7 +17,7 @@ One significance map serves both sides: `vote_reference` alone selects
 coefficients, `embed` writes through it and returns it in its report.
 `extract_image` keeps the last cover it analysed with that map, so
 checking many suspects against one original analyses the original once,
-and decomposes each suspect only into the detector's subbands.
+and `tally_image` decomposes each suspect only into the detector's subbands.
 """
 
 import math
@@ -185,6 +185,13 @@ def tally_votes(reference, received_pyr):
     return tallies
 
 
+def tally_image(reference, img, levels, keys):
+    """tally_votes of img, decomposed only into the subbands `keys` names,
+    against the reference restricted to them (decode reports a key it lacks)."""
+    used = {key: reference[key] for key in keys if key in reference}
+    return tally_votes(used, dwt2(img, levels, subbands=used))
+
+
 def require_capacity(reference):
     """Raise ValueError unless every bit position has a qualifying coefficient.
 
@@ -297,9 +304,7 @@ def extract_image(cover, received, cfg=EmbedConfig(), detector=DETECTOR_I):
             f"cover {cover.shape} and received {received.shape} differ in size")
     key = (cfg.levels, cfg.modulation, cfg.q[:cfg.levels])
     reference = _cover_memo.get(cover, key, _cover_reference, cfg)
-    # a subband the reference lacks is left to decode to report
-    used = {key: reference[key] for key in detector if key in reference}
-    return decode(tally_votes(used, dwt2(received, cfg.levels, subbands=used)),
+    return decode(tally_image(reference, received, cfg.levels, detector),
                   detector)
 
 

@@ -507,13 +507,13 @@ class TestDctMemo:
         assert not held.flags.writeable and not coefs.flags.writeable
         assert held.nbytes + coefs.nbytes == 9 * img.size   # 9 B/px
 
-    def test_an_image_the_key_cannot_hold_is_not_stored(self, dct_calls,
-                                                        lena_like):
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_image_is_refused_and_not_stored(self, dct_calls,
+                                                          lena_like, value):
         img = quantize(lena_like[:64, :64])
-        img[0, 0] = 0.0
         bad = img.copy()
-        bad[0, 0] = np.nan
-        with np.errstate(invalid="ignore"):
+        bad[0, 0] = value
+        with pytest.raises(ValueError, match="non-finite"):
             jpeg_codec(bad, 50)
         assert attacks._dct_memo.slot is None
         assert jpeg_codec(img, 50).tobytes() == reference_jpeg(img, 50).tobytes()

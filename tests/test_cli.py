@@ -439,7 +439,7 @@ def test_bench_rejects_bad_flags_before_work(workdir, capsys, monkeypatch,
                                              flags, message):
     def no_work(*_):
         raise AssertionError("bench read its inputs before checking flags")
-    monkeypatch.setattr(cli, "read_image", no_work)
+    monkeypatch.setattr(cli, "read_raster", no_work)
     rc = main(["bench", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
                "--attacks", "median", "--out", str(workdir / "r.json"), *flags])
     assert rc == 1
@@ -456,7 +456,6 @@ def test_extract_rejects_bad_detector_before_work(workdir, capsys, monkeypatch,
                                                   flags, message):
     def no_work(*_):
         raise AssertionError("extract read its inputs before checking flags")
-    monkeypatch.setattr(cli, "read_image", no_work)
     monkeypatch.setattr(cli, "read_raster", no_work)
     rc = main(["extract", str(workdir / "cover.pgm"), str(workdir / "cover.pgm"),
                str(workdir / "est.pbm"), *flags])
@@ -470,6 +469,8 @@ def test_round6_rejects_nan():
     assert _round6(0.1234567) == 0.123457
     with pytest.raises(ValueError, match="NaN"):
         _round6(float("nan"))
+    with pytest.raises(ValueError, match="-inf"):
+        _round6(float("-inf"))
 
 
 @pytest.mark.parametrize("env, message", [
@@ -481,7 +482,6 @@ def test_bad_env_seed_rejected_before_work(workdir, capsys, monkeypatch,
                                            env, message, command):
     def no_work(*_):
         raise AssertionError("read an input before checking the seed")
-    monkeypatch.setattr(cli, "read_image", no_work)
     monkeypatch.setattr(cli, "read_raster", no_work)
     monkeypatch.setenv("DWTMARK_SEED", env)
     out = workdir / "out"
