@@ -1,14 +1,13 @@
 """Channel attack catalog: deterministic image impairments.
 
-Every attack takes a non-empty 2-D image, which models an image that was
-saved and transmitted: a uint8 image is used as it is, any other is
-quantized to 8 bits first (a NaN or infinite pixel is rejected).  It
-returns an 8-bit-valued image of the same size.  The 3x3 median, erosion
-and dilation are min/max networks on those 8-bit values, so they are
-exact: there is no arithmetic to round.  Noise attacks draw from a
-seeded position-indexed generator, so a given (spec, seed) is
-bit-reproducible.  A JPEG quality sweep of one image runs its forward
-DCT once (see `_dct_memo`).
+Every attack takes an image that passes pixmap.input_image and models
+it as saved and transmitted: a uint8 image is used as it is, any other
+is quantized to 8 bits first.  It returns an 8-bit-valued image of the
+same size.  The 3x3 median, erosion and dilation are min/max networks on
+those 8-bit values, so they are exact: there is no arithmetic to round.
+Noise attacks draw from a seeded position-indexed generator, so a given
+(spec, seed) is bit-reproducible.  A JPEG quality sweep of one image runs
+its forward DCT once (see `_dct_memo`).
 
 Specs serialize as ``kind:key=value,key=value`` strings, e.g. ``jpeg:q=50``
 or ``awgn:snr_db=11.4,seed=7``.
@@ -47,20 +46,9 @@ def parse_spec(text):
     kind = kind.strip()
     _, defaults = _catalog_entry(kind)
     params = {}
-    if rest:
-        for item in rest.split(","):
-            key, sep, value = item.partition("=")
-            key = key.strip()
-            if not sep or key not in defaults:
-                raise AttackSpecError(
-                    f"bad parameter {item!r} for {kind} "
-                    f"(valid: {', '.join(defaults) or 'none'})")
-            caster = type(defaults[key])
-            try:
-                params[key] = _checked(kind, key, caster(value))
-            except ValueError:
-                raise AttackSpecError(
-                    f"bad value {value!r} for {kind}.{key}") from None
+    for item in rest.split(",") if rest else ():
+        key, _, value = (part.strip() for part in item.partition("="))
+        params[key] = _checked(kind, defaults, key, value)
     return AttackSpec(kind=kind, params=params)
 
 
@@ -72,11 +60,22 @@ def _catalog_entry(kind):
     return CATALOG[kind]
 
 
-def _checked(kind, key, value):
-    """`value` if it is finite (and, for a seed, non-negative)."""
-    if not -math.inf < value < math.inf or (key == "seed" and value < 0):
+def _checked(kind, defaults, key, value):
+    """`value` as the type of `key`'s default, which must convert it (or
+    parse it, from a spec string) without loss; AttackSpecError unless
+    the key is known, and the value finite and, for a seed, >= 0."""
+    if key not in defaults:
+        raise AttackSpecError(f"bad parameter {key!r} for {kind} "
+                              f"(valid: {', '.join(defaults) or 'none'})")
+    try:
+        cast = type(defaults[key])(value)
+        exact = isinstance(value, str) or cast == value
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if (not exact or not -math.inf < cast < math.inf
+            or (key == "seed" and cast < 0)):
         raise AttackSpecError(f"bad value {value!r} for {kind}.{key}")
-    return value
+    return cast
 
 
 def apply_attack(img, spec, default_seed=0):
@@ -86,11 +85,9 @@ def apply_attack(img, spec, default_seed=0):
     if "seed" in params:
         params["seed"] = default_seed
     params.update(spec.params)
-    for key, value in params.items():
-        _checked(spec.kind, key, value)
+    params = {key: _checked(spec.kind, defaults, key, value)
+              for key, value in params.items()}
     img = input_image(img, "input")
-    if img.ndim != 2 or not img.size:
-        raise ValueError(f"attack needs a non-empty 2-D image, got {img.shape}")
     img = img.astype(np.float64) if img.dtype == np.uint8 else quantize(img)
     try:
         # an overflow or NaN on the way shows in the result, checked below
@@ -359,7 +356,7 @@ def jpeg_codec(img, quality):
     luminance table rounding half away from zero, dequantize, inverse
     DCT, unshift, clamp.  Entropy coding is lossless and therefore
     omitted; all the damage comes from coefficient quantization.  It is
-    apply_attack's jpeg, so a NaN or infinite pixel is refused.
+    apply_attack's jpeg, so it takes and refuses the same images.
     """
     return apply_attack(img, AttackSpec("jpeg", {"q": quality}))
 

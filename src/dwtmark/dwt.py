@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pixmap import input_image
+
 ORIENTATIONS = ("h", "v", "d")
 
 
@@ -146,21 +148,17 @@ def _analysis(x, axis, outs):
 def dwt2(img, levels, subbands=None):
     """Decompose a 2-D image into a `levels`-deep wavelet pyramid.
 
-    Width and height must be divisible by 2**levels.  An integer image is
-    read as it is: the kernel's staging copy converts it as astype(float64)
-    would, so the result equals that of its float64 copy.  Any other image
-    is converted to float64 first.
+    `img` passes pixmap.input_image; width and height must be divisible
+    by 2**levels.  An integer image stays as it is: the kernel's staging
+    copy converts it as astype(float64) would, so the result equals that
+    of its float64 copy.
 
     `subbands`, an iterable of (orientation, level) keys, asks for only
     those detail subbands: the passes no other one needs are skipped, the
     pyramid's detail holds just them, each bit-identical to the full
     pyramid's, and its approx is None, so idwt2 refuses it.
     """
-    img = np.asarray(img)
-    if not np.issubdtype(img.dtype, np.integer):
-        img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError(f"image must be 2-D, got shape {img.shape}")
+    img = input_image(img, "dwt2 input")
     if levels < 1:
         raise ValueError(f"level count must be >= 1, got {levels}")
     h, w = img.shape

@@ -11,7 +11,7 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from .pixmap import finite_image, quantize
+from .pixmap import input_image, quantize
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -21,7 +21,8 @@ DYNAMIC_RANGE = 255.0
 
 
 def _check_same_shape(a, b):
-    a, b = finite_image(a, "first"), finite_image(b, "second")
+    a = np.asarray(input_image(a, "first"), dtype=np.float64)
+    b = np.asarray(input_image(b, "second"), dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return a, b

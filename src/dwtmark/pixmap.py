@@ -1,10 +1,12 @@
 """Grayscale image and watermark I/O (netpbm PGM/PBM formats).
 
-Images are 2-D arrays in row-major order, nominal range [0, 255].
-`read_raster` returns a PGM's stored pixels as uint8, and the pipeline
-takes integer images as they are (any other as float64); `read_image` is
-the float64 copy.  Intensities stay real-valued until a file is written or
-an attack quantizes its input, which models a transmitted 8-bit image.
+Images are in row-major order, nominal range [0, 255].  `input_image`
+alone decides, at every entry point that takes pixels, which arrays are
+images: non-empty 2-D arrays, integer ones taken as they are and any
+other read as float64 and refused if a pixel is NaN or infinite.
+`read_raster` returns a PGM's stored pixels as uint8; `read_image` is the
+float64 copy.  Intensities stay real-valued until a file is written or an
+attack quantizes its input, which models a transmitted 8-bit image.
 
 Watermarks are 16x16 int arrays with entries in {-1, +1}.  The file
 mapping is fixed: PBM bit 1 -> +1, bit 0 -> -1.
@@ -101,18 +103,19 @@ def _ascii_raster(data, pos):
     return _COMMENT.sub(b"", data[pos:]).split()
 
 
-def finite_image(img, name):
-    """`img` as float64; ValueError if any pixel is NaN or infinite."""
+def input_image(img, name):
+    """`img` if it passes the image rule (module docstring), as it is when
+    integer and as float64 otherwise; ValueError naming `name` if not."""
+    img = np.asarray(img)
+    if img.ndim != 2 or not img.size:
+        raise ValueError(
+            f"{name}: need a non-empty 2-D image, got shape {img.shape}")
+    if np.issubdtype(img.dtype, np.integer):
+        return img
     img = np.asarray(img, dtype=np.float64)
     if not np.isfinite(img).all():
         raise ValueError(f"{name} image has non-finite pixel values")
     return img
-
-
-def input_image(img, name):
-    """An integer image as it is (always finite), else finite_image(img)."""
-    img = np.asarray(img)
-    return img if np.issubdtype(img.dtype, np.integer) else finite_image(img, name)
 
 
 class ImageMemo:
@@ -167,9 +170,7 @@ def read_image(path):
 
 def write_image(img, path):
     """Write a binary P5 PGM (maxval 255), quantizing samples half-up."""
-    img = finite_image(img, "output")
-    if img.ndim != 2:
-        raise ValueError(f"image must be 2-D, got shape {img.shape}")
+    img = input_image(img, "output")
     h, w = img.shape
     payload = quantize(img).astype(np.uint8)
     with open(path, "wb") as fh:

@@ -21,6 +21,7 @@ and `tally_image` decomposes each suspect only into the detector's subbands.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -52,8 +53,10 @@ class EmbedConfig:
         object.__setattr__(self, "q", tuple(float(x) for x in self.q))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
-        if self.levels < 1:
-            raise ValueError(f"levels must be >= 1, got {self.levels}")
+        if not isinstance(self.levels, numbers.Integral) or self.levels < 1:
+            raise ValueError(
+                f"levels must be an integer >= 1, got {self.levels!r}")
+        object.__setattr__(self, "levels", int(self.levels))
         if len(self.q) < self.levels:
             raise ValueError(
                 f"need a q factor per level: {len(self.q)} given for "
@@ -289,13 +292,11 @@ def _cover_reference(cover, cfg):
 def extract_image(cover, received, cfg=EmbedConfig(), detector=DETECTOR_I):
     """Non-blind extraction: returns the decoded 16x16 {-1,+1} mark.
 
-    Integer images (such as pixmap.read_raster's uint8) are used as they
-    are; any other image must be finite and is read as float64.  Raises
-    ValueError when the cover cannot carry the mark (see
-    require_capacity).  Repeated calls with an equal cover and config
-    reuse the cover's analysis; one copy of the last cover, in its
-    dtype, and its reference stay in memory.  The received image is
-    decomposed only into the detector's subbands.
+    Both images pass pixmap.input_image.  Raises ValueError when the
+    cover cannot carry the mark (see require_capacity).  Repeated calls
+    with an equal cover and config reuse the cover's analysis; one copy
+    of the last cover, in its dtype, and its reference stay in memory.
+    The received image is decomposed only into the detector's subbands.
     """
     cover = input_image(cover, "cover")
     received = input_image(received, "received")

@@ -109,6 +109,43 @@ def test_negative_default_seed_rejected(lena_like):
         apply_attack(lena_like, parse_spec("add_noise"), default_seed=-1)
 
 
+# a directly built spec and the default seed pass the check parse_spec uses
+@pytest.mark.parametrize("spec, seed, match", [
+    (AttackSpec("jpeg", {"qq": 50}), 0, "bad parameter 'qq' for jpeg"),
+    (AttackSpec("gamma", {"sigma": 0.8}), 0, "bad parameter 'sigma' for gamma"),
+    (AttackSpec("median", {"seed": 1}), 0, r"bad parameter 'seed' .*none"),
+    (AttackSpec("jpeg", {"q": 50.7}), 0, "bad value 50.7 for jpeg.q"),
+    (AttackSpec("jpeg", {"q": "fifty"}), 0, "bad value 'fifty' for jpeg.q"),
+    (AttackSpec("jpeg", {"q": None}), 0, "bad value None for jpeg.q"),
+    (AttackSpec("jpeg", {"q": math.inf}), 0, "bad value inf for jpeg.q"),
+    (AttackSpec("awgn", {"seed": 2.5}), 0, "bad value 2.5 for awgn.seed"),
+    (AttackSpec("awgn"), 1.5, "bad value 1.5 for awgn.seed"),
+    (AttackSpec("add_noise"), math.nan, "bad value nan for add_noise.seed"),
+], ids=["unknown_key", "other_kinds_key", "no_params", "lossy_int",
+        "not_a_number", "none", "inf_int", "lossy_seed", "lossy_default_seed",
+        "nan_default_seed"])
+def test_apply_attack_checks_parameters_as_parse_spec_does(lena_like, spec,
+                                                           seed, match):
+    with pytest.raises(AttackSpecError, match=match):
+        apply_attack(lena_like, spec, default_seed=seed)
+
+
+@pytest.mark.parametrize("spec, same", [
+    (AttackSpec("jpeg", {"q": 50.0}), "jpeg:q=50"),
+    (AttackSpec("jpeg", {"q": np.int64(50)}), "jpeg:q=50"),
+    (AttackSpec("gamma", {"g": 1}), "gamma:g=1.0"),
+    (AttackSpec("awgn", {"seed": np.uint8(3)}), "awgn:seed=3"),
+], ids=["float_q", "int64_q", "int_g", "uint8_seed"])
+def test_lossless_parameter_values_run_as_parsed(lena_like, spec, same):
+    want = apply_attack(lena_like, parse_spec(same))
+    assert apply_attack(lena_like, spec).tobytes() == want.tobytes()
+
+
+def test_parse_spec_item_without_value_is_a_bad_value():
+    with pytest.raises(AttackSpecError, match="bad value '' for jpeg.q"):
+        parse_spec("jpeg:q")
+
+
 class TestCatalogSemantics:
     def test_gamma_identity(self, lena_like):
         out = apply_attack(lena_like, parse_spec("gamma:g=1.0"))

@@ -625,6 +625,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="modulation"):
             EmbedConfig(modulation="sideways")
 
+    @pytest.mark.parametrize("levels", [2.5, 2.0, "2", None, 0, -1],
+                             ids=repr)
+    def test_levels_must_be_a_positive_integer(self, levels):
+        with pytest.raises(ValueError, match="levels must be an integer"):
+            EmbedConfig(levels=levels)
+
+    @pytest.mark.parametrize("levels", [2, np.int64(2), np.uint8(2)],
+                             ids=["int", "int64", "uint8"])
+    def test_integer_levels_accepted(self, lena_like, mark, levels):
+        cfg = EmbedConfig(q=(0.06, 0.04), levels=levels)
+        assert type(cfg.levels) is int and cfg == EmbedConfig(q=(0.06, 0.04),
+                                                              levels=2)
+        marked, _ = embed_image(lena_like, mark, cfg)
+        want, _ = embed_image(lena_like, mark, EmbedConfig(q=(0.06, 0.04),
+                                                           levels=2))
+        assert marked.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("q", [np.array([0.06, 0.04, 0.02]),
                                    [0.06, 0.04, 0.02], (0.06, 0.04, 0.02),
                                    np.float32([0.06, 0.04, 0.02])],
