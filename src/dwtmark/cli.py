@@ -23,8 +23,8 @@ from . import metrics
 from .attacks import DEFAULT_BENCH, apply_attack, parse_spec
 from .pixmap import (quantize, read_raster, read_watermark, write_image,
                      write_watermark)
-from .watermarker import (EmbedConfig, decode_each, embed_image,
-                          extract_image, parse_detector, tally_image)
+from .watermarker import (EmbedConfig, decode, embed_image, extract_image,
+                          parse_detector, tally_image)
 
 REPORT_VERSION = 1
 SEED_ENV = "DWTMARK_SEED"
@@ -90,12 +90,12 @@ def cmd_embed(args):
 def cmd_extract(args):
     cfg = _config_from_args(args)
     detector = _detector(args.detector, cfg)
+    truth = read_watermark(args.truth) if args.truth else None
     cover = read_raster(args.cover)
     received = read_raster(args.received)
     est = extract_image(cover, received, cfg, detector)
     write_watermark(est, args.out)
     if args.truth:
-        truth = read_watermark(args.truth)
         print(f"ber={_round6(metrics.ber(truth, est))} "
               f"ncc={_round6(metrics.ncc(truth, est))}")
     return 0
@@ -148,22 +148,31 @@ def cmd_bench(args):
     used = [key for structure in detectors.values() for key in structure]
     transmitted = quantize(marked).astype(np.uint8)
 
-    def score(spec_text, repeat):
-        """Detector name -> BERs over `repeat` seeded trials.
+    def row(spec_text, trials):
+        """The report row of spec_text over `trials` seeded trials.
 
         Each attacked image is tallied once against the cover reference,
         in the detectors' subbands; every detector decodes from that one
         tally.  The marks are +-1, so a trial's NCC is exactly 1 - 2*BER.
         """
-        spec = parse_spec(spec_text)
-        runs = {name: [] for name in sorted(detectors)}
-        for rep_i in range(repeat):
-            attacked = apply_attack(transmitted, spec, default_seed=seed + rep_i)
-            tallies = tally_image(embed_report.reference, attacked,
-                                  cfg.levels, used)
-            for name, est in decode_each(tallies, detectors).items():
-                runs[name].append(metrics.ber(wm, est))
-        return runs
+        bers = {name: [] for name in sorted(detectors)}
+        try:
+            spec = parse_spec(spec_text)
+            for trial in range(trials):
+                attacked = apply_attack(transmitted, spec, default_seed=seed + trial)
+                tallies = tally_image(embed_report.reference, attacked,
+                                      cfg.levels, used)
+                for name, runs in bers.items():
+                    runs.append(metrics.ber(wm, decode(tallies, detectors[name])))
+        except ValueError as e:
+            return {"spec": spec_text, "seed": seed, "error": str(e)}
+        scores = {}
+        for name, runs in bers.items():
+            scores[name] = {"ber": _round6(np.mean(runs)),
+                            "ncc": _round6(np.mean([1.0 - 2.0 * b for b in runs]))}
+            if trials > 1:
+                scores[name]["ber_std"] = _round6(np.std(runs))
+        return {"spec": spec_text, "seed": seed, "detectors": scores}
 
     report = {
         "format_version": REPORT_VERSION,
@@ -185,29 +194,17 @@ def cmd_bench(args):
             "mutual_information": _round6(metrics.mutual_information(cover, marked)),
             "modified_coefficients": embed_report.total_modified,
         },
-        "attacks": [],
+        "attacks": [row(spec_text, args.repeat)
+                    for spec_text in _bench_rows(args)],
     }
-
-    for spec_text in _bench_rows(args):
-        row = {"spec": spec_text, "seed": seed}
-        try:
-            runs = score(spec_text, args.repeat)
-        except ValueError as e:
-            row["error"] = str(e)
-        else:
-            row["detectors"] = {}
-            for name, bers in runs.items():
-                entry = {"ber": _round6(np.mean(bers)),
-                         "ncc": _round6(np.mean([1.0 - 2.0 * b for b in bers]))}
-                if args.repeat > 1:
-                    entry["ber_std"] = _round6(np.std(bers))
-                row["detectors"][name] = entry
-        report["attacks"].append(row)
-
+    # a sweep point is the row jpeg:q=N; one that fails stops the run
     sweep_rows = []
     for quality in qualities:
-        for name, (ber,) in score(f"jpeg:q={quality}", 1).items():
-            sweep_rows.append((quality, name, _round6(ber), _round6(1.0 - 2.0 * ber)))
+        point = row(f"jpeg:q={quality}", 1)
+        if "error" in point:
+            raise ValueError(point["error"])
+        sweep_rows += [(quality, name, scores["ber"], scores["ncc"])
+                       for name, scores in point["detectors"].items()]
 
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

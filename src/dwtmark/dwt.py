@@ -28,6 +28,7 @@ approximation band.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,13 +146,20 @@ def _analysis(x, axis, outs):
         _step(*_phases(x, axis), _ANALYSIS[lo:hi], axis, -1, outs[lo:hi])
 
 
+def level_count(levels):
+    """`levels` as a plain int; ValueError unless it is an integer >= 1."""
+    if not isinstance(levels, numbers.Integral) or levels < 1:
+        raise ValueError(f"levels must be an integer >= 1, got {levels!r}")
+    return int(levels)
+
+
 def dwt2(img, levels, subbands=None):
     """Decompose a 2-D image into a `levels`-deep wavelet pyramid.
 
-    `img` passes pixmap.input_image; width and height must be divisible
-    by 2**levels.  An integer image stays as it is: the kernel's staging
-    copy converts it as astype(float64) would, so the result equals that
-    of its float64 copy.
+    `img` passes pixmap.input_image and `levels` level_count; width and
+    height must be divisible by 2**levels.  An integer image stays as it
+    is: the kernel's staging copy converts it as astype(float64) would,
+    so the result equals that of its float64 copy.
 
     `subbands`, an iterable of (orientation, level) keys, asks for only
     those detail subbands: the passes no other one needs are skipped, the
@@ -159,8 +167,7 @@ def dwt2(img, levels, subbands=None):
     pyramid's, and its approx is None, so idwt2 refuses it.
     """
     img = input_image(img, "dwt2 input")
-    if levels < 1:
-        raise ValueError(f"level count must be >= 1, got {levels}")
+    levels = level_count(levels)
     h, w = img.shape
     div = 1 << levels
     if h % div or w % div:

@@ -2,8 +2,9 @@
 
 Images are in row-major order, nominal range [0, 255].  `input_image`
 alone decides, at every entry point that takes pixels, which arrays are
-images: non-empty 2-D arrays, integer ones taken as they are and any
-other read as float64 and refused if a pixel is NaN or infinite.
+images: non-empty 2-D arrays of integer, bool or real floating dtype,
+integer ones taken as they are and any other read as float64 and refused
+if a pixel is NaN or infinite.
 `read_raster` returns a PGM's stored pixels as uint8; `read_image` is the
 float64 copy.  Intensities stay real-valued until a file is written or an
 attack quantizes its input, which models a transmitted 8-bit image.
@@ -112,6 +113,8 @@ def input_image(img, name):
             f"{name}: need a non-empty 2-D image, got shape {img.shape}")
     if np.issubdtype(img.dtype, np.integer):
         return img
+    if img.dtype.kind not in "bf":  # bool or real floating
+        raise ValueError(f"{name}: need a real-valued image, got dtype {img.dtype}")
     img = np.asarray(img, dtype=np.float64)
     if not np.isfinite(img).all():
         raise ValueError(f"{name} image has non-finite pixel values")

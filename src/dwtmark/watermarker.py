@@ -21,14 +21,13 @@ and `tally_image` decomposes each suspect only into the detector's subbands.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import metrics
-from .dwt import ORIENTATIONS, WaveletPyramid, dwt2, idwt2
+from .dwt import ORIENTATIONS, WaveletPyramid, dwt2, idwt2, level_count
 from .pixmap import WM_SIZE, ImageMemo, input_image, validate_watermark
 
 # detector structures from the two best-performing decoders: all nine
@@ -53,10 +52,7 @@ class EmbedConfig:
         object.__setattr__(self, "q", tuple(float(x) for x in self.q))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
-        if not isinstance(self.levels, numbers.Integral) or self.levels < 1:
-            raise ValueError(
-                f"levels must be an integer >= 1, got {self.levels!r}")
-        object.__setattr__(self, "levels", int(self.levels))
+        object.__setattr__(self, "levels", level_count(self.levels))
         if len(self.q) < self.levels:
             raise ValueError(
                 f"need a q factor per level: {len(self.q)} given for "
@@ -225,21 +221,13 @@ def decode(tallies, detector):
     (abstaining on a tie or empty tally); the final bit is the sign of
     the verdict sum, with ties resolved to +1.
     """
-    return decode_each(tallies, {None: detector})[None]
-
-
-def decode_each(tallies, detectors):
-    """{name: decode(tallies, d)} for a dict name -> detector structure d,
-    with the subband stage run once for each subband any of them names."""
-    if not all(detectors.values()):
+    if not detector:
         raise ValueError("detector structure must name at least one subband")
-    keys = dict.fromkeys(key for d in detectors.values() for key in d)
-    for key in keys:
+    for key in detector:
         if key not in tallies:
             raise ValueError(f"detector names subband {key} absent from tallies")
-    verdicts = {key: np.sign(tallies[key][0] - tallies[key][1]) for key in keys}
-    return {name: np.where(sum(verdicts[key] for key in d) >= 0, 1,
-                           -1).astype(np.int8) for name, d in detectors.items()}
+    verdicts = sum(np.sign(tallies[key][0] - tallies[key][1]) for key in detector)
+    return np.where(verdicts >= 0, 1, -1).astype(np.int8)
 
 
 def _embedding_psnr(reference, marked_pyr, pixels):

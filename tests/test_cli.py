@@ -145,6 +145,22 @@ def test_bench_rejects_cover_too_small_for_the_mark(workdir, small_cover,
     assert not (workdir / "r.json").exists()
 
 
+@pytest.mark.parametrize("truth, message", [
+    ("missing.pbm", "missing.pbm"),
+    ("small.pbm", "watermark must be 16x16, got 3x3"),
+], ids=["missing", "malformed"])
+def test_extract_reads_the_truth_mark_before_writing(workdir, capsys, truth,
+                                                     message):
+    (workdir / "small.pbm").write_text("P1\n3 3\n010\n101\n010\n")
+    out = workdir / "rec.pbm"
+    rc = main(["extract", str(workdir / "cover.pgm"), str(workdir / "cover.pgm"),
+               str(out), "--truth", str(workdir / truth)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
 def test_extract_dimension_mismatch(workdir, lena_like):
     write_image(lena_like[:128, :128], workdir / "small.pgm")
     rc = main(["extract", str(workdir / "cover.pgm"), str(workdir / "small.pgm"),
@@ -285,6 +301,29 @@ def test_bench_sweep_point_equals_its_attack_row(workdir, monkeypatch):
             entry["ber"], entry["ncc"])
     # the row transforms the transmitted image; every sweep point reuses it
     assert len(dcts) == 1
+
+
+def test_bench_failing_row_is_recorded_failing_sweep_point_stops(
+        workdir, lena_like, capsys):
+    # jpeg needs sides divisible by 8; a 36x36 cover still carries the
+    # mark at two levels in the level-1 subbands
+    write_image(lena_like[:36, :36], workdir / "c36.pgm")
+    bench = ["bench", str(workdir / "c36.pgm"), str(workdir / "mark.pbm"),
+             "--levels", "2", "--q2", "0.01", "--detectors", "h1,v1,d1",
+             "--seed", "5"]
+    message = "jpeg needs dimensions divisible by 8, got 36x36"
+    assert main([*bench, "--attacks", "median;jpeg:q=50",
+                 "--out", str(workdir / "r.json")]) == 0
+    rows = json.loads((workdir / "r.json").read_text())["attacks"]
+    assert set(rows[0]["detectors"]) == {"h1,v1,d1"}
+    assert rows[1] == {"spec": "jpeg:q=50", "seed": 5, "error": message}
+    capsys.readouterr()
+    assert main([*bench, "--attacks", "median", "--jpeg-sweep", "10..20",
+                 "--out", str(workdir / "s.json"),
+                 "--sweep-out", str(workdir / "s.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workdir / "s.json").exists()
+    assert not (workdir / "s.csv").exists()
 
 
 def test_bench_deterministic_byte_identical(workdir):

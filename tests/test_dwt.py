@@ -239,3 +239,19 @@ def test_selected_subbands_equal_the_full_pyramids(data):
 def test_unknown_subband_rejected(subbands, message):
     with pytest.raises(ValueError, match=message):
         dwt2(np.zeros((32, 32)), 3, subbands=subbands)
+
+
+@pytest.mark.parametrize("levels", [2.5, 2.0, "2", None, 0, -1], ids=repr)
+def test_levels_must_be_a_positive_integer(levels):
+    with pytest.raises(ValueError, match="levels must be an integer >= 1"):
+        dwt2(np.zeros((32, 32)), levels)
+
+
+@pytest.mark.parametrize("levels", [np.int64(2), np.uint8(2)],
+                         ids=["int64", "uint8"])
+def test_numpy_integer_levels_act_as_int(levels):
+    # a uint8 level count once overflowed in the divisibility check at 256²
+    img = np.random.default_rng(5).uniform(0, 255, (256, 256))
+    got = dwt2(img, levels)
+    assert type(got.levels) is int
+    assert band_bytes(got) == band_bytes(dwt2(img, 2))

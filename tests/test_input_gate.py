@@ -1,9 +1,10 @@
 """Every image entry point refuses what is not an image, by one rule.
 
-pixmap.input_image is the one gate: a non-empty 2-D array, taken as it
-is when integer, else as float64 with every pixel finite.  Each entry
-point below gets each bad image in each of its image arguments (the
-other one valid) and must raise a ValueError that names the problem.
+pixmap.input_image is the one gate: a non-empty 2-D array of integer,
+bool or real floating dtype, taken as it is when integer, else as float64
+with every pixel finite.  Each entry point below gets each bad image in
+each of its image arguments (the other one valid) and must raise a
+ValueError that names the problem.
 """
 
 import numpy as np
@@ -32,6 +33,7 @@ def with_pixel(value):
 
 SHAPE = "non-empty 2-D image"
 FINITE = "non-finite"
+DTYPE = "need a real-valued image, got dtype"
 
 # (id, bad image, what the message must say)
 BAD = [(f"{name}-{np.dtype(dtype).name}", np.zeros(shape, dtype), SHAPE)
@@ -41,6 +43,10 @@ BAD = [(f"{name}-{np.dtype(dtype).name}", np.zeros(shape, dtype), SHAPE)
 BAD += [(name, with_pixel(value), FINITE)
         for name, value in (("nan", np.nan), ("inf", np.inf),
                             ("-inf", -np.inf))]
+BAD += [(name, img, DTYPE)
+        for name, img in (("complex", good() + 0j), ("complex-imag", good() * 1j),
+                          ("str", good().astype(str)),
+                          ("object", good().astype(object)))]
 
 
 def mark():
