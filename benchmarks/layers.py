@@ -4,8 +4,9 @@
         [--rounds R] [--repeats N] [--perfbench-seconds S] [--out FILE]
 
 Times each layer of the north star on square synthetic covers of the given
-sizes (default 256 512 1024): PGM write/read, dwt2, idwt2,
-compute_thresholds, embed, extract_votes, decode, embed_image,
+sizes (default 256 512 1024): PGM write, PGM raster read, dwt2, idwt2,
+compute_thresholds, embed, vote_reference, tally_votes, tally_image
+(Detector I's subbands of the uint8 suspect), decode, embed_image,
 extract_image (the same cover again, two covers in turn, and the same
 uint8 cover with a uint8 suspect under Detector II), every catalog
 attack, the JPEG sweep (the nine qualities 10..90 of `bench --jpeg-sweep`
@@ -110,7 +111,8 @@ def time_layers(root, sizes, repeats):
             marked, _ = wmk.embed_image(cover, wm, cfg)
             sent = pixmap.quantize(marked)
             received = dwt.dwt2(sent, cfg.levels)
-            tallies = wmk.extract_votes(pyr, received, cfg)
+            reference = wmk.vote_reference(pyr, cfg)
+            tallies = wmk.tally_votes(reference, received)
             turns = itertools.cycle([other, cover])
             cover_u8, sent_u8 = (pixmap.quantize(x).astype("uint8")
                                  for x in (cover, sent))
@@ -118,14 +120,19 @@ def time_layers(root, sizes, repeats):
                 [sent_u8, pixmap.quantize(other).astype("uint8")])
             layers = {
                 "pixmap.write_image": lambda: pixmap.write_image(marked, path),
-                "pixmap.read_image": lambda: pixmap.read_image(path),
+                "pixmap.read_raster": lambda: pixmap.read_raster(path),
                 "dwt.dwt2": lambda: dwt.dwt2(cover, cfg.levels),
                 "dwt.idwt2": lambda: dwt.idwt2(pyr),
                 "watermarker.compute_thresholds":
                     lambda: wmk.compute_thresholds(pyr, cfg),
                 "watermarker.embed": lambda: wmk.embed(pyr, wm, cfg),
-                "watermarker.extract_votes":
-                    lambda: wmk.extract_votes(pyr, received, cfg),
+                "watermarker.vote_reference":
+                    lambda: wmk.vote_reference(pyr, cfg),
+                "watermarker.tally_votes":
+                    lambda: wmk.tally_votes(reference, received),
+                "watermarker.tally_image":
+                    lambda: wmk.tally_image(reference, sent_u8, cfg.levels,
+                                            wmk.DETECTOR_I),
                 "watermarker.decode":
                     lambda: wmk.decode(tallies, wmk.DETECTOR_I),
                 "watermarker.embed_image":

@@ -89,14 +89,10 @@ def apply_attack(img, spec, default_seed=0):
               for key, value in params.items()}
     img = input_image(img, "input")
     img = img.astype(np.float64) if img.dtype == np.uint8 else quantize(img)
-    try:
-        # an overflow or NaN on the way shows in the result, checked below
-        with np.errstate(all="ignore"):
-            out = impl(img, **params)
-        finite = bool(np.isfinite(out).all())
-    except OverflowError:
-        finite = False
-    if not finite:
+    # an overflow or NaN on the way shows in the result, checked below
+    with np.errstate(all="ignore"):
+        out = impl(img, **params)
+    if not np.isfinite(out).all():
         raise AttackSpecError(
             f"attack {spec.kind} gives non-finite pixels with {params}: "
             "a parameter is out of range")
@@ -109,46 +105,28 @@ def apply_attack(img, spec, default_seed=0):
 
 # --- pixel-domain attacks ---------------------------------------------------
 
-# elements per strip of the 3x3 rank filters: a strip's uint8 buffer and
-# the few temporaries of its kernel stay in L2 cache
-_STRIP = 1 << 17
-
-
 def _rank3x3(img, kernel):
     """Run a 3x3 rank kernel over an 8-bit-valued image, edge-replicated.
 
-    The image is worked through in row strips.  Each strip is copied, as
-    uint8, into a buffer with one replicated row above and below and one
-    replicated column left and right (min and max do no arithmetic, so
-    uint8 gives the same values as float64 on integers in [0, 255]).
-    Flattened, the buffer's rows above, at and below the strip are three
-    contiguous slices; `kernel(above, centre, below, out)` combines them
-    and fills `out`, whose element k is the window centred on flat element
-    k + 1 of the centre slice, so the padding columns' outputs are dropped.
+    The image is padded by one replicated row or column on each side, as
+    uint8 (min and max do no arithmetic, so uint8 gives the same values
+    as float64 on integers in [0, 255]).  Flattened, the padded rows
+    above, at and below the image are three contiguous slices;
+    `kernel(above, centre, below, out)` combines them and fills `out`,
+    whose element k is the window centred on flat element k + 1 of the
+    centre slice, so the padding columns' outputs are dropped.
     """
     h, w = img.shape
     stride = w + 2
-    rows = max(1, _STRIP // stride)
-    out = np.empty_like(img)
-    for r0 in range(0, h, rows):
-        r1 = min(r0 + rows, h)
-        n = r1 - r0
-        buf = np.empty((n + 2, stride), dtype=np.uint8)
-        buf[1:-1, 1:-1] = img[r0:r1]
-        buf[0, 1:-1] = img[max(r0 - 1, 0)]
-        buf[-1, 1:-1] = img[min(r1, h - 1)]
-        buf[:, 0] = buf[:, 1]
-        buf[:, -1] = buf[:, -2]
-        flat = buf.ravel()
-        res = np.empty(n * stride, dtype=np.uint8)
-        kernel(flat[:n * stride], flat[stride:(n + 1) * stride],
-               flat[2 * stride:], res[:-2])
-        out[r0:r1] = res.reshape(n, stride)[:, :w]
-    return out
+    flat = np.pad(img.astype(np.uint8), 1, mode="edge").ravel()
+    res = np.empty(h * stride, dtype=np.uint8)
+    kernel(flat[:h * stride], flat[stride:(h + 1) * stride],
+           flat[2 * stride:], res[:-2])
+    return res.reshape(h, stride)[:, :w].astype(np.float64)
 
 
 def _across(op, x, out=None):
-    """op over each element of a flat strip and its next two neighbours."""
+    """op over each element of a flat array and its next two neighbours."""
     out = op(x[:-2], x[1:-1], out=out)
     return op(out, x[2:], out=out)
 
@@ -191,8 +169,9 @@ def _lpf(img):
 
 
 def _gaussian_kernel3(sigma):
-    x = np.arange(-1, 2, dtype=np.float64)
-    k = np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / (2.0 * sigma ** 2))
+    x2 = np.arange(-1, 2, dtype=np.float64) ** 2
+    # in numpy, so a sigma whose 2 * sigma**2 overflows gives the 3x3 box
+    k = np.exp(-(x2[:, None] + x2[None, :]) / (2.0 * np.float64(sigma) ** 2))
     return k / k.sum()
 
 
@@ -312,10 +291,10 @@ def _sharpen(img, lam):
 
 
 def _awgn(img, snr_db, seed):
-    rng = np.random.default_rng(seed)
+    # in numpy, a noise scale too large for a float overflows to inf
     power = np.mean(img ** 2)
-    sigma = math.sqrt(power * 10.0 ** (-snr_db / 10.0))
-    return img + rng.standard_normal(img.shape) * sigma
+    sigma = np.sqrt(power * np.float64(10.0) ** (-snr_db / 10.0))
+    return img + np.random.default_rng(seed).standard_normal(img.shape) * sigma
 
 
 def _intensity_adjust(img):
@@ -349,18 +328,6 @@ def quality_table(quality):
     return np.maximum(1.0, np.floor(BASE_LUMA_QT * scale / 100.0 + 0.5))
 
 
-def jpeg_codec(img, quality):
-    """Baseline JPEG distortion model: blockwise DCT quantization round-trip.
-
-    Level-shift by 128, 8x8 orthonormal DCT-II, divide by the scaled
-    luminance table rounding half away from zero, dequantize, inverse
-    DCT, unshift, clamp.  Entropy coding is lossless and therefore
-    omitted; all the damage comes from coefficient quantization.  It is
-    apply_attack's jpeg, so it takes and refuses the same images.
-    """
-    return apply_attack(img, AttackSpec("jpeg", {"q": quality}))
-
-
 # the last image the codec transformed, held as uint8, and its read-only
 # blockwise DCT: a JPEG quality sweep transforms one image once
 _dct_memo = ImageMemo(np.uint8)
@@ -377,7 +344,14 @@ def _block_dct(img):
 
 
 def _jpeg(img, q):
-    """jpeg_codec's round trip of an 8-bit-valued image, unclamped."""
+    """Baseline JPEG distortion model: blockwise DCT quantization round-trip.
+
+    Level-shift by 128, 8x8 orthonormal DCT-II, divide by the scaled
+    luminance table rounding half away from zero, dequantize, inverse
+    DCT, unshift; apply_attack then clamps.  Entropy coding is lossless
+    and therefore omitted; all the damage comes from coefficient
+    quantization.
+    """
     h, w = img.shape
     if h % 8 or w % 8:
         raise AttackSpecError(f"jpeg needs dimensions divisible by 8, got {h}x{w}")

@@ -117,11 +117,11 @@ def _bench_rows(args):
 
 def _sweep_qualities(args):
     """The JPEG qualities --jpeg-sweep asks for (none when it is unset)."""
-    if not args.jpeg_sweep:
-        return range(0)
     if args.jpeg_sweep_step < 1:
         raise ValueError(
             f"--jpeg-sweep-step must be >= 1, got {args.jpeg_sweep_step}")
+    if not args.jpeg_sweep:
+        return range(0)
     lo, _, hi = args.jpeg_sweep.partition("..")
     try:
         lo, hi = int(lo), int(hi)
@@ -137,6 +137,13 @@ def cmd_bench(args):
     if args.repeat < 1:
         raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
     qualities = _sweep_qualities(args)
+    sweep_path = (args.sweep_out or os.path.splitext(args.out)[0]
+                  + "_sweep.csv") if qualities else None
+    if sweep_path and os.path.realpath(sweep_path) == os.path.realpath(args.out):
+        raise ValueError(f"--sweep-out {sweep_path!r} is also --out")
+    for path in filter(None, (args.out, sweep_path)):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"output {path!r}: no such directory")
     seed = _default_seed(args)
     cfg = _config_from_args(args)
     detectors = {name.strip(): _detector(name, cfg)
@@ -174,6 +181,16 @@ def cmd_bench(args):
                 scores[name]["ber_std"] = _round6(np.std(runs))
         return {"spec": spec_text, "seed": seed, "detectors": scores}
 
+    # a sweep point is the row jpeg:q=N; one that fails stops the run,
+    # so the sweep runs before the transparency metrics and attack rows
+    sweep_rows = []
+    for quality in qualities:
+        point = row(f"jpeg:q={quality}", 1)
+        if "error" in point:
+            raise ValueError(point["error"])
+        sweep_rows += [(quality, name, scores["ber"], scores["ncc"])
+                       for name, scores in point["detectors"].items()]
+
     report = {
         "format_version": REPORT_VERSION,
         "config": {
@@ -197,20 +214,10 @@ def cmd_bench(args):
         "attacks": [row(spec_text, args.repeat)
                     for spec_text in _bench_rows(args)],
     }
-    # a sweep point is the row jpeg:q=N; one that fails stops the run
-    sweep_rows = []
-    for quality in qualities:
-        point = row(f"jpeg:q={quality}", 1)
-        if "error" in point:
-            raise ValueError(point["error"])
-        sweep_rows += [(quality, name, scores["ber"], scores["ncc"])
-                       for name, scores in point["detectors"].items()]
-
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if sweep_rows:
-        sweep_path = args.sweep_out or (os.path.splitext(args.out)[0] + "_sweep.csv")
         with open(sweep_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["quality", "detector", "ber", "ncc"])

@@ -326,6 +326,21 @@ def test_bench_failing_row_is_recorded_failing_sweep_point_stops(
     assert not (workdir / "s.csv").exists()
 
 
+def test_bench_failing_sweep_stops_before_the_attack_rows(
+        workdir, lena_like, monkeypatch, capsys):
+    write_image(lena_like[:36, :36], workdir / "c36.pgm")
+    attacked = []
+    apply_attack = cli.apply_attack
+    monkeypatch.setattr(cli, "apply_attack", lambda img, spec, **kw: (
+        attacked.append(str(spec)) or apply_attack(img, spec, **kw)))
+    assert main(["bench", str(workdir / "c36.pgm"), str(workdir / "mark.pbm"),
+                 "--levels", "2", "--q2", "0.01", "--detectors", "h1,v1,d1",
+                 "--jpeg-sweep", "10..20",
+                 "--out", str(workdir / "s.json")]) == 1
+    assert "divisible by 8" in capsys.readouterr().err
+    assert attacked == ["jpeg:q=10"]
+
+
 def test_bench_deterministic_byte_identical(workdir):
     for name in ("r1", "r2"):
         main(["bench", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
@@ -484,6 +499,35 @@ def test_bench_rejects_bad_flags_before_work(workdir, capsys, monkeypatch,
     assert rc == 1
     assert message in capsys.readouterr().err
     assert not (workdir / "r.json").exists()
+
+
+# output flags are checked with the others: neither a report nor a sweep
+# CSV is written when one of them is bad
+@pytest.mark.parametrize("flags, message", [
+    (["--jpeg-sweep", "10..20", "--sweep-out", "{d}/r.json"],
+     "--sweep-out '{d}/r.json' is also --out"),
+    (["--jpeg-sweep", "10..20", "--sweep-out", "{d}/./r.json"],
+     "is also --out"),
+    (["--jpeg-sweep", "10..20", "--sweep-out", "{d}/nodir/s.csv"],
+     "output '{d}/nodir/s.csv': no such directory"),
+    (["--out", "{d}/nodir/r.json"],
+     "output '{d}/nodir/r.json': no such directory"),
+    (["--jpeg-sweep-step", "0"], "--jpeg-sweep-step must be >= 1, got 0"),
+], ids=["sweep_is_out", "sweep_is_out_dotted", "sweep_dir_missing",
+        "out_dir_missing", "step_without_sweep"])
+def test_bench_checks_its_outputs_before_work(workdir, capsys, monkeypatch,
+                                              flags, message):
+    def no_work(*_):
+        raise AssertionError("bench read its inputs before checking flags")
+    monkeypatch.setattr(cli, "read_raster", no_work)
+    before = sorted(workdir.iterdir())
+    rc = main(["bench", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
+               "--out", str(workdir / "r.json"),
+               *(flag.format(d=workdir) for flag in flags)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message.format(d=workdir) in err
+    assert sorted(workdir.iterdir()) == before
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -8,7 +8,7 @@ from dwtmark.watermarker import (DETECTOR_I, DETECTOR_II, EmbedConfig,
                                  compute_thresholds, decode, embed,
                                  embed_image, extract_image, extract_votes,
                                  parse_detector, require_capacity,
-                                 tally_votes, vote_reference)
+                                 tally_image, tally_votes, vote_reference)
 from conftest import random_mark
 
 CFG = EmbedConfig()
@@ -299,6 +299,47 @@ class TestExtract:
         one_level = small_pyramid(rng, size=32, levels=1)
         with pytest.raises(ValueError, match=r"missing subband \('h', 2\)"):
             tally_votes(reference, one_level)
+
+
+class TestTallyImage:
+    @pytest.fixture()
+    def received(self, lena_like):
+        """The cover's reference and a noisy copy of its marked image."""
+        marked, report = embed_image(lena_like, random_mark(12), CFG)
+        noise = np.random.default_rng(12).normal(0, 3.0, marked.shape)
+        return report.reference, quantize(marked + noise)
+
+    def test_equals_the_full_tally_restricted_to_its_keys(self, received):
+        reference, img = received
+        # bench's key list repeats a subband two detectors share
+        keys = [*DETECTOR_II, *DETECTOR_I]
+        got = tally_image(reference, img, CFG.levels, keys)
+        full = tally_votes(reference, dwt2(img, CFG.levels))
+        assert list(got) == list(dict.fromkeys(keys))
+        for key, tally in got.items():
+            assert tally.tobytes() == full[key].tobytes()
+
+    def test_drops_a_key_absent_from_the_reference(self, lena_like):
+        cfg = EmbedConfig(levels=2)
+        marked, report = embed_image(lena_like, random_mark(13), cfg)
+        tallies = tally_image(report.reference, marked, cfg.levels,
+                              [("h", 1), ("h", 3)])
+        assert list(tallies) == [("h", 1)]
+        with pytest.raises(ValueError,
+                           match=r"subband \('h', 3\) absent from tallies"):
+            decode(tallies, (("h", 1), ("h", 3)))
+
+    def test_decomposes_only_the_named_subbands(self, received, monkeypatch):
+        reference, img = received
+        asked = []
+
+        def recording(img, levels, subbands=None):
+            asked.append((levels, sorted(subbands)))
+            return dwt2(img, levels, subbands=subbands)
+
+        monkeypatch.setattr(watermarker, "dwt2", recording)
+        tally_image(reference, img, CFG.levels, [*DETECTOR_II, ("v", 2)])
+        assert asked == [(CFG.levels, sorted(DETECTOR_II))]
 
 
 class TestDecode:
