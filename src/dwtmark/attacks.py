@@ -48,6 +48,8 @@ def parse_spec(text):
     params = {}
     for item in rest.split(",") if rest else ():
         key, _, value = (part.strip() for part in item.partition("="))
+        if key in params:
+            raise AttackSpecError(f"{kind} names parameter {key!r} twice")
         params[key] = _checked(kind, defaults, key, value)
     return AttackSpec(kind=kind, params=params)
 

@@ -27,7 +27,6 @@ from .watermarker import (EmbedConfig, decode, embed_image, extract_image,
                           parse_detector, tally_image)
 
 REPORT_VERSION = 1
-SEED_ENV = "DWTMARK_SEED"
 
 
 def _round6(x):
@@ -55,15 +54,10 @@ def _add_config_flags(p):
 
 
 def _default_seed(args):
-    """The attack seed: --seed, else $DWTMARK_SEED, else 0."""
-    seed = args.seed if args.seed is not None else os.environ.get(SEED_ENV, "0")
-    try:
-        seed = int(seed)
-    except ValueError:
-        raise ValueError(f"bad {SEED_ENV} value: {seed!r}") from None
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
+    """The attack seed, --seed; ValueError when it is negative."""
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
+    return args.seed
 
 
 def _detector(text, cfg):
@@ -137,17 +131,24 @@ def cmd_bench(args):
     if args.repeat < 1:
         raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
     qualities = _sweep_qualities(args)
+    if args.sweep_out and not qualities:
+        raise ValueError("--sweep-out needs --jpeg-sweep")
     sweep_path = (args.sweep_out or os.path.splitext(args.out)[0]
                   + "_sweep.csv") if qualities else None
     if sweep_path and os.path.realpath(sweep_path) == os.path.realpath(args.out):
         raise ValueError(f"--sweep-out {sweep_path!r} is also --out")
     for path in filter(None, (args.out, sweep_path)):
+        if os.path.isdir(path):
+            raise ValueError(f"output {path!r} is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"output {path!r}: no such directory")
     seed = _default_seed(args)
     cfg = _config_from_args(args)
-    detectors = {name.strip(): _detector(name, cfg)
-                 for name in args.detectors.split(";")}
+    detectors = {}
+    for name in map(str.strip, args.detectors.split(";")):
+        if name in detectors:
+            raise ValueError(f"--detectors names {name!r} twice")
+        detectors[name] = _detector(name, cfg)
     cover = read_raster(args.cover)
     wm = read_watermark(args.watermark)
 
@@ -252,7 +253,7 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("out")
     p.add_argument("spec", help="e.g. jpeg:q=50 or awgn:snr_db=11.4,seed=7")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("bench", help="run the full attack/detector matrix")
     p.add_argument("cover")
@@ -265,7 +266,7 @@ def build_parser():
     p.add_argument("--jpeg-sweep", default=None, metavar="LO..HI",
                    help="also sweep JPEG quality, e.g. 10..90")
     p.add_argument("--jpeg-sweep-step", type=int, default=10)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeat", type=int, default=1,
                    help="trials per seeded attack (mean/std reported)")
     p.add_argument("--out", default="report.json")

@@ -83,9 +83,10 @@ def _step(a, b, weights, axis, shift, outs):
 
         outs[r] = ((c0*a + c1*b) + c2*S(a)) + c3*S(b),  (c0..c3) = weights[r]
 
-    where S moves the samples cyclically, S(x)[i] = x[i - shift].  Each
-    product and sum is one rounded float operation in that order, so the
-    result is bit-identical to the direct 4-tap filter.
+    where S moves the samples cyclically, S(x)[i] = x[i - shift], and an
+    output that is None is skipped.  Each product and sum is one rounded
+    float operation in that order, so the result is bit-identical to the
+    direct 4-tap filter.
 
     Rows go in strips of about _STRIP elements.  A strip that is not
     contiguous (a phase view) is first copied into a contiguous buffer,
@@ -111,6 +112,8 @@ def _step(a, b, weights, axis, shift, outs):
         sb = _contiguous(b[r0:r1], stage_b[:m])
         t = scratch[:m]
         for out, (c0, c1, c2, c3) in zip(outs, weights):
+            if out is None:
+                continue
             o = out[r0:r1]
             o_acc = o if o.flags.c_contiguous else acc[:m]
             np.multiply(sa, c0, out=o_acc)
@@ -133,17 +136,6 @@ def _contiguous(x, stage):
         return x
     stage[...] = x
     return stage
-
-
-def _analysis(x, axis, outs):
-    """Analysis step of x along `axis` into outs = (low, high), skipping
-    an output that is None."""
-    # a slice of the weight rows: a fancy index costs microseconds, and
-    # this runs nine times a dwt2 call
-    lo = 1 if outs[0] is None else 0
-    hi = 1 if outs[1] is None else 2
-    if lo < hi:
-        _step(*_phases(x, axis), _ANALYSIS[lo:hi], axis, -1, outs[lo:hi])
 
 
 def level_count(levels):
@@ -190,11 +182,13 @@ def dwt2(img, levels, subbands=None):
         # the row pass's low half feeds (approx, h), its high half (v, d)
         halves = [np.empty((h, w // 2)) if any(pair) else None
                   for pair in (need[:2], need[2:])]
-        _analysis(approx, 1, halves)
+        _step(*_phases(approx, 1), _ANALYSIS, 1, -1, halves)
         approx, *bands = (np.empty((h // 2, w // 2)) if n else None
                           for n in need)
-        _analysis(halves[0], 0, (approx, bands[0]))
-        _analysis(halves[1], 0, bands[1:])
+        if halves[0] is not None:
+            _step(*_phases(halves[0], 0), _ANALYSIS, 0, -1, (approx, bands[0]))
+        if halves[1] is not None:
+            _step(*_phases(halves[1], 0), _ANALYSIS, 0, -1, bands[1:])
         detail.update(((s, l), band) for s, band in zip(ORIENTATIONS, bands)
                       if band is not None)
     return WaveletPyramid(levels=levels, detail=detail,

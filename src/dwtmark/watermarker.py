@@ -21,7 +21,7 @@ and `tally_image` decomposes each suspect only into the detector's subbands.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -69,10 +69,10 @@ class EmbedConfig:
         return -1.0 if self.modulation == "negative" else 1.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbedReport:
-    reference: dict = field(default_factory=dict)  # vote_reference of the cover
-    psnr: float = 0.0
+    reference: dict  # vote_reference of the cover
+    psnr: float      # of the real-valued reconstruction against the cover
 
     @property
     def modified(self):   # (s, l) -> count
@@ -110,18 +110,31 @@ def _bit_index(positions, shape):
 def embed(pyr, wm, cfg):
     """Modulate the coefficients vote_reference selects with the tiled mark.
 
-    Returns (new pyramid, EmbedReport carrying that reference).
+    Returns (new pyramid, EmbedReport carrying that reference and the
+    PSNR).  db2 is orthonormal, so by Parseval the reconstruction's squared
+    error is that of the coefficients, summed here as they are written.
     """
     wm = validate_watermark(wm)
     reference = vote_reference(pyr, cfg)
     plane = (1.0 + cfg.mod_sign * cfg.alpha * wm).ravel()
     detail = dict(pyr.detail)
-    for key, band in reference.items():
-        # copy() gives C order, so ravel() is a view that takes the writes
-        detail[key] = pyr.detail[key].copy()
-        detail[key].ravel()[band.positions] = band.values * plane[band.bits]
+    sse = 0.0
+    with np.errstate(over="ignore"):
+        for key, band in reference.items():
+            new = band.values * plane[band.bits]
+            # copy() gives C order, so ravel() is a view that takes the writes
+            detail[key] = pyr.detail[key].copy()
+            detail[key].ravel()[band.positions] = new
+            diff = new - band.values
+            sse += float(diff @ diff)
+    if not math.isfinite(sse):
+        raise ValueError("embedding squared error overflows: cover pixel "
+                         "values are too large")
+    pixels = 4 * pyr.detail[("h", 1)].size   # a level-1 band is 1/4 image
+    psnr = (10.0 * math.log10(metrics.DYNAMIC_RANGE ** 2 * pixels / sse)
+            if sse else math.inf)
     out = WaveletPyramid(levels=pyr.levels, detail=detail, approx=pyr.approx)
-    return out, EmbedReport(reference)
+    return out, EmbedReport(reference, psnr)
 
 
 class BandReference(NamedTuple):
@@ -230,25 +243,6 @@ def decode(tallies, detector):
     return np.where(verdicts >= 0, 1, -1).astype(np.int8)
 
 
-def _embedding_psnr(reference, marked_pyr, pixels):
-    """PSNR of an embedding, from the coefficients it changed.
-
-    The db2 transform is orthonormal, so by Parseval the squared error
-    of the real-valued reconstruction equals that of the coefficients.
-    """
-    sse = 0.0
-    with np.errstate(over="ignore"):
-        for key, band in reference.items():
-            diff = marked_pyr.detail[key].ravel()[band.positions] - band.values
-            sse += float(diff @ diff)
-    if not math.isfinite(sse):
-        raise ValueError("embedding squared error overflows: cover pixel "
-                         "values are too large")
-    if sse == 0.0:
-        return math.inf
-    return 10.0 * math.log10(metrics.DYNAMIC_RANGE ** 2 * pixels / sse)
-
-
 def embed_image(cover, wm, cfg=EmbedConfig()):
     """Full pipeline: decompose, embed, reconstruct.
 
@@ -260,7 +254,6 @@ def embed_image(cover, wm, cfg=EmbedConfig()):
     pyr = dwt2(cover, cfg.levels)
     marked_pyr, report = embed(pyr, wm, cfg)
     require_capacity(report.reference)
-    report.psnr = _embedding_psnr(report.reference, marked_pyr, cover.size)
     return idwt2(marked_pyr), report
 
 

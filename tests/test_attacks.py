@@ -65,6 +65,11 @@ class TestSpecParsing:
         with pytest.raises(AttackSpecError, match="bad value"):
             parse_spec("jpeg:q=high")
 
+    def test_repeated_key(self):
+        with pytest.raises(AttackSpecError,
+                           match="awgn names parameter 'snr_db' twice"):
+            parse_spec("awgn:snr_db=10,snr_db=20")
+
     def test_str_roundtrip(self):
         spec = parse_spec("range_map:low=10,up=200")
         assert parse_spec(str(spec)) == spec

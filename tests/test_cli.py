@@ -352,14 +352,6 @@ def test_bench_deterministic_byte_identical(workdir):
     assert (workdir / "r1.csv").read_bytes() == (workdir / "r2.csv").read_bytes()
 
 
-def test_bench_env_seed(workdir, monkeypatch):
-    monkeypatch.setenv("DWTMARK_SEED", "42")
-    main(["bench", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
-          "--attacks", "median", "--out", str(workdir / "r.json")])
-    report = json.loads((workdir / "r.json").read_text())
-    assert report["config"]["seed"] == 42
-
-
 def test_bench_repeat_reports_std(workdir):
     main(["bench", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
           "--attacks", "add_noise", "--repeat", "3",
@@ -487,8 +479,10 @@ def test_full_default_bench_golden_bytes(tmp_path, monkeypatch, lena_like,
     (["--detectors", "I;d9"], "d9 is deeper than --levels 3"),
     (["--levels", "2", "--detectors", "II"], "v3 is deeper than --levels 2"),
     (["--detectors", "h0"], "levels start at 1"),
+    (["--detectors", "I; I"], "--detectors names 'I' twice"),
 ], ids=["repeat", "sweep_step", "sweep_low", "sweep_high", "seed",
-        "detector_level", "detector_levels_flag", "detector_level_zero"])
+        "detector_level", "detector_levels_flag", "detector_level_zero",
+        "detector_twice"])
 def test_bench_rejects_bad_flags_before_work(workdir, capsys, monkeypatch,
                                              flags, message):
     def no_work(*_):
@@ -513,8 +507,11 @@ def test_bench_rejects_bad_flags_before_work(workdir, capsys, monkeypatch,
     (["--out", "{d}/nodir/r.json"],
      "output '{d}/nodir/r.json': no such directory"),
     (["--jpeg-sweep-step", "0"], "--jpeg-sweep-step must be >= 1, got 0"),
+    (["--sweep-out", "{d}/s.csv"], "--sweep-out needs --jpeg-sweep"),
+    (["--out", "{d}"], "output '{d}' is a directory"),
 ], ids=["sweep_is_out", "sweep_is_out_dotted", "sweep_dir_missing",
-        "out_dir_missing", "step_without_sweep"])
+        "out_dir_missing", "step_without_sweep", "sweep_out_without_sweep",
+        "out_is_dir"])
 def test_bench_checks_its_outputs_before_work(workdir, capsys, monkeypatch,
                                               flags, message):
     def no_work(*_):
@@ -556,22 +553,13 @@ def test_round6_rejects_nan():
         _round6(float("-inf"))
 
 
-@pytest.mark.parametrize("env, message", [
-    ("-5", "seed must be >= 0"),
-    ("seven", "bad DWTMARK_SEED value"),
-], ids=["negative", "not_int"])
-@pytest.mark.parametrize("command", ["bench", "attack"])
-def test_bad_env_seed_rejected_before_work(workdir, capsys, monkeypatch,
-                                           env, message, command):
+def test_attack_rejects_negative_seed_before_work(workdir, capsys,
+                                                  monkeypatch):
     def no_work(*_):
         raise AssertionError("read an input before checking the seed")
     monkeypatch.setattr(cli, "read_raster", no_work)
-    monkeypatch.setenv("DWTMARK_SEED", env)
     out = workdir / "out"
-    args = {"bench": ["bench", str(workdir / "cover.pgm"),
-                      str(workdir / "mark.pbm"), "--out", str(out)],
-            "attack": ["attack", str(workdir / "cover.pgm"), str(out),
-                       "add_noise"]}[command]
-    assert main(args) == 1
-    assert message in capsys.readouterr().err
+    assert main(["attack", str(workdir / "cover.pgm"), str(out), "add_noise",
+                 "--seed", "-5"]) == 1
+    assert "seed must be >= 0, got -5" in capsys.readouterr().err
     assert not out.exists()

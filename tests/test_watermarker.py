@@ -464,6 +464,17 @@ class TestEmbeddingPsnr:
         for cover in corpus.values():
             marked, report = embed_image(cover, mark, cfg)
             assert abs(report.psnr - metrics.psnr(cover, marked)) < 1e-9
+            # embed itself builds the whole report
+            assert embed(dwt2(cover, levels), mark, cfg)[1].psnr == report.psnr
+
+    def test_selected_subband_pyramid(self, lena_like, mark):
+        # dwt2 asked for every detail subband has no approx band
+        keys = [(s, l) for l in (1, 2, 3) for s in ORIENTATIONS]
+        full = embed(dwt2(lena_like, 3), mark, CFG)
+        selected = embed(dwt2(lena_like, 3, subbands=keys), mark, CFG)
+        assert selected[1].psnr == embed_image(lena_like, mark, CFG)[1].psnr
+        for key in keys:
+            assert np.array_equal(selected[0].detail[key], full[0].detail[key])
 
     def test_squared_error_overflow_fails_loudly(self, lena_like, mark):
         with pytest.raises(ValueError, match="squared error overflows"):
