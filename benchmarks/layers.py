@@ -131,8 +131,7 @@ def time_layers(root, sizes, repeats):
                 "watermarker.tally_votes":
                     lambda: wmk.tally_votes(reference, received),
                 "watermarker.tally_image":
-                    lambda: wmk.tally_image(reference, sent_u8, cfg.levels,
-                                            wmk.DETECTOR_I),
+                    lambda: wmk.tally_image(reference, sent_u8, wmk.DETECTOR_I),
                 "watermarker.decode":
                     lambda: wmk.decode(tallies, wmk.DETECTOR_I),
                 "watermarker.embed_image":

@@ -38,19 +38,19 @@ def _round6(x):
 
 
 def _config_from_args(args):
-    return EmbedConfig(alpha=args.alpha, q=(args.q1, args.q2, args.q3),
-                       levels=args.levels, modulation=args.modulation)
+    return EmbedConfig(alpha=getattr(args, "alpha", EmbedConfig.alpha),
+                       q=(args.q1, args.q2, args.q3),
+                       modulation=args.modulation)
 
 
-def _add_config_flags(p):
-    p.add_argument("--alpha", type=float, default=0.4,
-                   help="watermark strength in (0,1)")
-    p.add_argument("--q1", type=float, default=0.06)
-    p.add_argument("--q2", type=float, default=0.04)
-    p.add_argument("--q3", type=float, default=0.02)
-    p.add_argument("--levels", type=int, default=3)
+def _add_config_flags(p, alpha=True):
+    if alpha:
+        p.add_argument("--alpha", type=float, default=EmbedConfig.alpha,
+                       help="watermark strength in (0,1)")
+    for level, q in enumerate(EmbedConfig.q, 1):
+        p.add_argument(f"--q{level}", type=float, default=q)
     p.add_argument("--modulation", choices=("negative", "positive"),
-                   default="negative")
+                   default=EmbedConfig.modulation)
 
 
 def _default_seed(args):
@@ -61,12 +61,12 @@ def _default_seed(args):
 
 
 def _detector(text, cfg):
-    """parse_detector(text), refusing a subband deeper than cfg.levels."""
+    """parse_detector(text), refusing a subband deeper than cfg's pyramid."""
     detector = parse_detector(text)
     for s, l in detector:
         if l > cfg.levels:
-            raise ValueError(f"detector subband {s}{l} is deeper than "
-                             f"--levels {cfg.levels}")
+            raise ValueError(f"detector subband {s}{l} is deeper than the "
+                             f"{cfg.levels}-level pyramid")
     return detector
 
 
@@ -146,9 +146,11 @@ def cmd_bench(args):
     cfg = _config_from_args(args)
     detectors = {}
     for name in map(str.strip, args.detectors.split(";")):
-        if name in detectors:
-            raise ValueError(f"--detectors names {name!r} twice")
-        detectors[name] = _detector(name, cfg)
+        structure = _detector(name, cfg)
+        if set(structure) in map(set, detectors.values()):
+            raise ValueError(f"--detectors names {name!r} twice: an earlier "
+                             f"detector has the same subbands")
+        detectors[name] = structure
     cover = read_raster(args.cover)
     wm = read_watermark(args.watermark)
 
@@ -168,8 +170,7 @@ def cmd_bench(args):
             spec = parse_spec(spec_text)
             for trial in range(trials):
                 attacked = apply_attack(transmitted, spec, default_seed=seed + trial)
-                tallies = tally_image(embed_report.reference, attacked,
-                                      cfg.levels, used)
+                tallies = tally_image(embed_report.reference, attacked, used)
                 for name, runs in bers.items():
                     runs.append(metrics.ber(wm, decode(tallies, detectors[name])))
         except ValueError as e:
@@ -247,7 +248,7 @@ def build_parser():
     p.add_argument("--detector", default="I",
                    help="I, II, or a subband list like h2,v2,v3")
     p.add_argument("--truth", help="reference mark (PBM) for BER/NCC")
-    _add_config_flags(p)
+    _add_config_flags(p, alpha=False)   # its analysis reads no alpha
 
     p = sub.add_parser("attack", help="apply one attack to an image")
     p.add_argument("input")

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics
-from .dwt import ORIENTATIONS, WaveletPyramid, dwt2, idwt2, level_count
+from .dwt import ORIENTATIONS, WaveletPyramid, dwt2, idwt2
 from .pixmap import WM_SIZE, ImageMemo, input_image, validate_watermark
 
 # detector structures from the two best-performing decoders: all nine
@@ -40,10 +40,9 @@ DETECTORS = {"I": DETECTOR_I, "II": DETECTOR_II}
 
 @dataclass(frozen=True)
 class EmbedConfig:
-    """Embedding parameters: strength, per-level threshold factors, depth."""
+    """Embedding parameters: strength, a q factor per level, modulation."""
     alpha: float = 0.4
     q: tuple = (0.06, 0.04, 0.02)
-    levels: int = 3
     modulation: str = "negative"
 
     def __post_init__(self):
@@ -52,16 +51,16 @@ class EmbedConfig:
         object.__setattr__(self, "q", tuple(float(x) for x in self.q))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
-        object.__setattr__(self, "levels", level_count(self.levels))
-        if len(self.q) < self.levels:
-            raise ValueError(
-                f"need a q factor per level: {len(self.q)} given for "
-                f"{self.levels} levels")
-        if not all(0.0 < qi < 1.0 for qi in self.q):
-            raise ValueError(f"q factors must be in (0,1), got {self.q}")
+        if not self.q or not all(0.0 < qi < 1.0 for qi in self.q):
+            raise ValueError(f"q factors must be in (0,1), one per level, "
+                             f"got {self.q}")
         if self.modulation not in ("negative", "positive"):
             raise ValueError(f"modulation must be negative or positive, "
                              f"got {self.modulation!r}")
+
+    @property
+    def levels(self):   # the pyramid depth
+        return len(self.q)
 
     @property
     def mod_sign(self):
@@ -197,10 +196,11 @@ def tally_votes(reference, received_pyr):
     return tallies
 
 
-def tally_image(reference, img, levels, keys):
-    """tally_votes of img, decomposed only into the subbands `keys` names,
-    against the reference restricted to them (decode reports a key it lacks)."""
+def tally_image(reference, img, keys):
+    """tally_votes of img in the reference's pyramid, decomposed only into
+    the subbands `keys` names (decode reports one the reference lacks)."""
     used = {key: reference[key] for key in keys if key in reference}
+    levels = max(l for _, l in reference)
     return tally_votes(used, dwt2(img, levels, subbands=used))
 
 
@@ -258,13 +258,13 @@ def embed_image(cover, wm, cfg=EmbedConfig()):
 
 
 # extract_image's last cover, in the dtype it was passed, keyed by the
-# reference's config fields, and its vote_reference
+# config fields the reference reads, and its vote_reference
 _cover_memo = ImageMemo()
 
 
 def _cover_reference(cover, cfg):
     """vote_reference of the cover, if it passes require_capacity; it
-    depends on cfg's levels, modulation and q factors of those levels."""
+    depends on cfg's modulation and q factors, one per level."""
     reference = vote_reference(dwt2(cover, cfg.levels), cfg)
     require_capacity(reference)
     return reference
@@ -284,10 +284,9 @@ def extract_image(cover, received, cfg=EmbedConfig(), detector=DETECTOR_I):
     if cover.shape != received.shape:
         raise ValueError(
             f"cover {cover.shape} and received {received.shape} differ in size")
-    key = (cfg.levels, cfg.modulation, cfg.q[:cfg.levels])
-    reference = _cover_memo.get(cover, key, _cover_reference, cfg)
-    return decode(tally_image(reference, received, cfg.levels, detector),
-                  detector)
+    reference = _cover_memo.get(cover, (cfg.modulation, cfg.q),
+                                _cover_reference, cfg)
+    return decode(tally_image(reference, received, detector), detector)
 
 
 def parse_detector(text):

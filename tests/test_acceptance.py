@@ -162,7 +162,7 @@ def test_criterion_7_metric_oracles(lena_like):
 
 def test_criterion_8_vote_decode_oracle():
     rng = np.random.default_rng(88)
-    cfg = EmbedConfig(levels=2, q=(0.06, 0.04))
+    cfg = EmbedConfig(q=(0.06, 0.04))
     for trial in range(100):
         cover = rng.uniform(0, 255, (32, 32))
         pyr = dwt2(cover, 2)

@@ -78,16 +78,31 @@ def test_each_call_parses_with_its_own_defaults(workdir, monkeypatch):
 
     monkeypatch.setattr(cli, "extract_image", record)
     files = [str(workdir / "cover.pgm")] * 2 + [str(workdir / "rec.pbm")]
-    assert main(["extract", *files, "--detector", "II", "--alpha", "0.3",
+    assert main(["extract", *files, "--detector", "II",
                  "--modulation", "positive"]) == 0
     assert main(["embed", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
-                 str(workdir / "marked.pgm"), "--levels", "2"]) == 0
+                 str(workdir / "marked.pgm"), "--alpha", "0.3"]) == 0
     assert main(["extract", *files]) == 0
     assert main(["extract", *files, "--q2", "0.05"]) == 0
-    assert seen == [(EmbedConfig(alpha=0.3, modulation="positive"), DETECTOR_II),
+    assert seen == [(EmbedConfig(modulation="positive"), DETECTOR_II),
                     (EmbedConfig(), DETECTOR_I),
                     (EmbedConfig(q=(0.06, 0.05, 0.02)), DETECTOR_I)]
     assert cli._parser() is cli._parser()
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "c.pgm", "m.pbm", "o.pgm", "--levels", "3"],
+    ["extract", "c.pgm", "r.pgm", "o.pbm", "--levels", "3"],
+    ["bench", "c.pgm", "m.pbm", "--levels", "3"],
+    ["extract", "c.pgm", "r.pgm", "o.pbm", "--alpha", "0.4"],
+], ids=["embed_levels", "extract_levels", "bench_levels", "extract_alpha"])
+def test_removed_config_flags_are_usage_errors(argv, capsys):
+    # the depth is the number of q factors; extract's analysis reads no alpha
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in (
+        capsys.readouterr().err)
 
 
 def test_main_runs_the_command_bound_at_call_time(monkeypatch):
@@ -303,21 +318,35 @@ def test_bench_sweep_point_equals_its_attack_row(workdir, monkeypatch):
     assert len(dcts) == 1
 
 
+def fail_jpeg(monkeypatch):
+    """Make cli.apply_attack fail on every jpeg spec, as no sweep quality
+    fails on a cover of the right size; returns the specs it is given."""
+    attacked = []
+    apply_attack = cli.apply_attack
+
+    def failing(img, spec, **kw):
+        attacked.append(str(spec))
+        if spec.kind == "jpeg":
+            raise ValueError(f"{spec} failed")
+        return apply_attack(img, spec, **kw)
+
+    monkeypatch.setattr(cli, "apply_attack", failing)
+    return attacked
+
+
 def test_bench_failing_row_is_recorded_failing_sweep_point_stops(
-        workdir, lena_like, capsys):
-    # jpeg needs sides divisible by 8; a 36x36 cover still carries the
-    # mark at two levels in the level-1 subbands
-    write_image(lena_like[:36, :36], workdir / "c36.pgm")
-    bench = ["bench", str(workdir / "c36.pgm"), str(workdir / "mark.pbm"),
-             "--levels", "2", "--q2", "0.01", "--detectors", "h1,v1,d1",
-             "--seed", "5"]
-    message = "jpeg needs dimensions divisible by 8, got 36x36"
-    assert main([*bench, "--attacks", "median;jpeg:q=50",
+        workdir, capsys, monkeypatch):
+    bench = ["bench", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
+             "--detectors", "h1,v1,d1", "--seed", "5"]
+    message = "jpeg quality must be in [1,100], got 0"
+    assert main([*bench, "--attacks", "median;jpeg:q=0",
                  "--out", str(workdir / "r.json")]) == 0
     rows = json.loads((workdir / "r.json").read_text())["attacks"]
     assert set(rows[0]["detectors"]) == {"h1,v1,d1"}
-    assert rows[1] == {"spec": "jpeg:q=50", "seed": 5, "error": message}
+    assert rows[1] == {"spec": "jpeg:q=0", "seed": 5, "error": message}
     capsys.readouterr()
+    fail_jpeg(monkeypatch)
+    message = "jpeg:q=10 failed"
     assert main([*bench, "--attacks", "median", "--jpeg-sweep", "10..20",
                  "--out", str(workdir / "s.json"),
                  "--sweep-out", str(workdir / "s.csv")]) == 1
@@ -327,18 +356,14 @@ def test_bench_failing_row_is_recorded_failing_sweep_point_stops(
 
 
 def test_bench_failing_sweep_stops_before_the_attack_rows(
-        workdir, lena_like, monkeypatch, capsys):
-    write_image(lena_like[:36, :36], workdir / "c36.pgm")
-    attacked = []
-    apply_attack = cli.apply_attack
-    monkeypatch.setattr(cli, "apply_attack", lambda img, spec, **kw: (
-        attacked.append(str(spec)) or apply_attack(img, spec, **kw)))
-    assert main(["bench", str(workdir / "c36.pgm"), str(workdir / "mark.pbm"),
-                 "--levels", "2", "--q2", "0.01", "--detectors", "h1,v1,d1",
+        workdir, monkeypatch, capsys):
+    attacked = fail_jpeg(monkeypatch)
+    assert main(["bench", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
                  "--jpeg-sweep", "10..20",
                  "--out", str(workdir / "s.json")]) == 1
-    assert "divisible by 8" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: jpeg:q=10 failed\n"
     assert attacked == ["jpeg:q=10"]
+    assert not (workdir / "s.json").exists()
 
 
 def test_bench_deterministic_byte_identical(workdir):
@@ -476,13 +501,16 @@ def test_full_default_bench_golden_bytes(tmp_path, monkeypatch, lena_like,
     (["--jpeg-sweep", "0..10"], "1 <= LO <= HI <= 100"),
     (["--jpeg-sweep", "90..101"], "1 <= LO <= HI <= 100"),
     (["--seed", "-1"], "seed must be >= 0"),
-    (["--detectors", "I;d9"], "d9 is deeper than --levels 3"),
-    (["--levels", "2", "--detectors", "II"], "v3 is deeper than --levels 2"),
+    (["--detectors", "I;d9"], "d9 is deeper than the 3-level pyramid"),
     (["--detectors", "h0"], "levels start at 1"),
     (["--detectors", "I; I"], "--detectors names 'I' twice"),
+    (["--detectors", "I;i"], "--detectors names 'i' twice"),
+    (["--detectors", "II;h2,v2,v3"], "--detectors names 'h2,v2,v3' twice"),
+    (["--detectors", "h1,v2;v2,h1"], "--detectors names 'v2,h1' twice"),
 ], ids=["repeat", "sweep_step", "sweep_low", "sweep_high", "seed",
-        "detector_level", "detector_levels_flag", "detector_level_zero",
-        "detector_twice"])
+        "detector_level", "detector_level_zero", "detector_twice",
+        "detector_twice_spelt_otherwise", "detector_ii_as_a_list",
+        "detector_list_reordered"])
 def test_bench_rejects_bad_flags_before_work(workdir, capsys, monkeypatch,
                                              flags, message):
     def no_work(*_):
@@ -528,8 +556,7 @@ def test_bench_checks_its_outputs_before_work(workdir, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--detector", "h4"], "h4 is deeper than --levels 3"),
-    (["--detector", "v2", "--levels", "1"], "v2 is deeper than --levels 1"),
+    (["--detector", "h4"], "h4 is deeper than the 3-level pyramid"),
     (["--detector", "h2,h2,v3"], "twice"),
 ])
 def test_extract_rejects_bad_detector_before_work(workdir, capsys, monkeypatch,

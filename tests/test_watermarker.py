@@ -80,7 +80,7 @@ class TestThresholds:
                              detail={("h", 1): band, ("v", 1): band * 0,
                                      ("d", 1): band * 0},
                              approx=np.zeros((2, 2)))
-        cfg = EmbedConfig(q=(0.5, 0.5, 0.5), levels=1)
+        cfg = EmbedConfig(q=(0.5,))
         th = compute_thresholds(pyr, cfg)
         assert th[("h", 1)] == pytest.approx(4.5)
 
@@ -88,7 +88,7 @@ class TestThresholds:
         pyr = WaveletPyramid(levels=1,
                              detail={(s, 1): np.zeros((4, 4)) for s in "hvd"},
                              approx=np.zeros((4, 4)))
-        cfg = EmbedConfig(levels=1)
+        cfg = EmbedConfig(q=(0.06,))
         th = compute_thresholds(pyr, cfg)
         assert th[("h", 1)] == 0.0
         out, report = embed(pyr, random_mark(0), cfg)
@@ -120,7 +120,7 @@ class TestEmbed:
                                      ("v", 1): np.zeros((2, 2)),
                                      ("d", 1): np.zeros((2, 2))},
                              approx=np.zeros((2, 2)))
-        cfg = EmbedConfig(alpha=0.4, q=(0.5, 0.5, 0.5), levels=1)
+        cfg = EmbedConfig(alpha=0.4, q=(0.5,))
         plus = np.ones((16, 16), dtype=np.int8)
         out, _ = embed(pyr, plus, cfg)
         assert out.detail[("h", 1)][0, 0] == pytest.approx(6.0)   # 10*(1-0.4)
@@ -171,7 +171,7 @@ class TestEmbed:
         # a 40x24 cover gives 20x12 and 10x6 bands, sides that are not
         # multiples of the 16x16 mark, so the mark tiles only partly
         cover = np.random.default_rng(6).uniform(0, 255, (40, 24))
-        cfg = EmbedConfig(levels=2, q=(0.06, 0.04), modulation=modulation)
+        cfg = EmbedConfig(q=(0.06, 0.04), modulation=modulation)
         wm = random_mark(6)
         pyr = dwt2(cover, 2)
         out, _ = embed(pyr, wm, cfg)
@@ -189,7 +189,7 @@ class TestEmbed:
             "reversed": lambda c: c[::-1, ::-1].copy()[::-1, ::-1],
         }[layout]
         cover = np.random.default_rng(11).uniform(0, 255, (48, 40))
-        cfg = EmbedConfig(levels=2, q=(0.06, 0.04))
+        cfg = EmbedConfig(q=(0.06, 0.04))
         wm = random_mark(11)
         pyr = dwt2(cover, 2)
         detail = {key: relayout(c) for key, c in pyr.detail.items()}
@@ -203,7 +203,7 @@ class TestEmbed:
             assert out.detail[key].tobytes() == expected.tobytes()
 
 
-CFG_SMALL = EmbedConfig(levels=2, q=(0.06, 0.04))
+CFG_SMALL = EmbedConfig(q=(0.06, 0.04))
 
 
 class TestExtract:
@@ -251,7 +251,7 @@ class TestExtract:
 
     @pytest.mark.parametrize("modulation", ["negative", "positive"])
     def test_reused_reference_matches_recount_oracle(self, modulation):
-        cfg = EmbedConfig(levels=2, q=(0.06, 0.04), modulation=modulation)
+        cfg = EmbedConfig(q=(0.06, 0.04), modulation=modulation)
         rng = np.random.default_rng(9)
         pyr = small_pyramid(rng)
         marked, _ = embed(pyr, random_mark(9), cfg)
@@ -283,7 +283,7 @@ class TestExtract:
         band[3, 5] = band[3, 21] = 0.0
         pyr = WaveletPyramid(levels=1, detail={(s, 1): band for s in "hvd"},
                              approx=np.zeros((16, 32)))
-        cfg = EmbedConfig(levels=1)
+        cfg = EmbedConfig(q=(0.06,))
         with pytest.raises(ValueError, match=" 1 of 256 bit positions .* any "
                                              "of its 3 detail subbands"):
             require_capacity(vote_reference(pyr, cfg))
@@ -313,17 +313,28 @@ class TestTallyImage:
         reference, img = received
         # bench's key list repeats a subband two detectors share
         keys = [*DETECTOR_II, *DETECTOR_I]
-        got = tally_image(reference, img, CFG.levels, keys)
+        got = tally_image(reference, img, keys)
         full = tally_votes(reference, dwt2(img, CFG.levels))
         assert list(got) == list(dict.fromkeys(keys))
         for key, tally in got.items():
             assert tally.tobytes() == full[key].tobytes()
 
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_takes_its_depth_from_the_reference(self, lena_like, depth):
+        cfg = EmbedConfig(q=CFG.q[:depth])
+        marked, report = embed_image(lena_like, random_mark(14), cfg)
+        noise = np.random.default_rng(14).normal(0, 3.0, marked.shape)
+        img = quantize(marked + noise)
+        got = tally_image(report.reference, img, list(report.reference))
+        full = tally_votes(report.reference, dwt2(img, depth))
+        assert len(got) == 3 * depth and got.keys() == full.keys()
+        for key, tally in got.items():
+            assert tally.tobytes() == full[key].tobytes()
+
     def test_drops_a_key_absent_from_the_reference(self, lena_like):
-        cfg = EmbedConfig(levels=2)
+        cfg = EmbedConfig(q=(0.06, 0.04))
         marked, report = embed_image(lena_like, random_mark(13), cfg)
-        tallies = tally_image(report.reference, marked, cfg.levels,
-                              [("h", 1), ("h", 3)])
+        tallies = tally_image(report.reference, marked, [("h", 1), ("h", 3)])
         assert list(tallies) == [("h", 1)]
         with pytest.raises(ValueError,
                            match=r"subband \('h', 3\) absent from tallies"):
@@ -338,7 +349,7 @@ class TestTallyImage:
             return dwt2(img, levels, subbands=subbands)
 
         monkeypatch.setattr(watermarker, "dwt2", recording)
-        tally_image(reference, img, CFG.levels, [*DETECTOR_II, ("v", 2)])
+        tally_image(reference, img, [*DETECTOR_II, ("v", 2)])
         assert asked == [(CFG.levels, sorted(DETECTOR_II))]
 
 
@@ -460,7 +471,7 @@ class TestEmbeddingPsnr:
     @pytest.mark.parametrize("modulation", ["negative", "positive"])
     def test_matches_pixel_psnr(self, corpus, mark, modulation, levels):
         # the report's PSNR comes from the changed coefficients (Parseval)
-        cfg = EmbedConfig(levels=levels, modulation=modulation)
+        cfg = EmbedConfig(q=CFG.q[:levels], modulation=modulation)
         for cover in corpus.values():
             marked, report = embed_image(cover, mark, cfg)
             assert abs(report.psnr - metrics.psnr(cover, marked)) < 1e-9
@@ -526,7 +537,7 @@ class TestCoverMemo:
                                         "shape"])
     def test_changed_cover_or_config_misses(self, dwt2_calls, lena_like, mark,
                                             change):
-        detector = parse_detector("h1,v1,d2,h2")   # valid at --levels 2
+        detector = parse_detector("h1,v1,d2,h2")   # valid at 2 levels
         marked, _ = embed_image(lena_like, mark, CFG)
         extract_image(lena_like, marked, CFG, detector)
         calls = len(dwt2_calls)
@@ -535,8 +546,8 @@ class TestCoverMemo:
             cover[200, 31] += 1.0
         elif change == "q":
             cfg = EmbedConfig(q=(0.06, 0.04, 0.03))
-        elif change == "levels":
-            cfg = EmbedConfig(levels=2)
+        elif change == "levels":   # two q factors: a 2-level pyramid
+            cfg = EmbedConfig(q=(0.06, 0.04))
         elif change == "modulation":
             cfg = EmbedConfig(modulation="positive")
         else:
@@ -670,29 +681,31 @@ class TestConfig:
     def test_q_bounds(self):
         with pytest.raises(ValueError, match="q factors"):
             EmbedConfig(q=(0.06, 1.5, 0.02))
-        with pytest.raises(ValueError, match="per level"):
-            EmbedConfig(q=(0.06,), levels=3)
 
     def test_modulation_name(self):
         with pytest.raises(ValueError, match="modulation"):
             EmbedConfig(modulation="sideways")
 
-    @pytest.mark.parametrize("levels", [2.5, 2.0, "2", None, 0, -1],
-                             ids=repr)
-    def test_levels_must_be_a_positive_integer(self, levels):
-        with pytest.raises(ValueError, match="levels must be an integer"):
-            EmbedConfig(levels=levels)
+    @pytest.mark.parametrize("q", [(0.06,), (0.06, 0.04), (0.06, 0.04, 0.02),
+                                   (0.06, 0.04, 0.02, 0.01)],
+                             ids=["1", "2", "3", "4"])
+    def test_levels_is_the_number_of_q_factors(self, q):
+        cfg = EmbedConfig(q=q)
+        assert cfg.levels == len(q)
+        pyr = dwt2(np.random.default_rng(len(q)).uniform(0, 255, (64, 64)),
+                   cfg.levels)
+        assert sorted(vote_reference(pyr, cfg)) == sorted(
+            (s, l) for l in range(1, len(q) + 1) for s in ORIENTATIONS)
 
-    @pytest.mark.parametrize("levels", [2, np.int64(2), np.uint8(2)],
-                             ids=["int", "int64", "uint8"])
-    def test_integer_levels_accepted(self, lena_like, mark, levels):
-        cfg = EmbedConfig(q=(0.06, 0.04), levels=levels)
-        assert type(cfg.levels) is int and cfg == EmbedConfig(q=(0.06, 0.04),
-                                                              levels=2)
-        marked, _ = embed_image(lena_like, mark, cfg)
-        want, _ = embed_image(lena_like, mark, EmbedConfig(q=(0.06, 0.04),
-                                                           levels=2))
-        assert marked.tobytes() == want.tobytes()
+    def test_empty_q_refused(self):
+        with pytest.raises(ValueError, match="q factors .* one per level"):
+            EmbedConfig(q=())
+
+    def test_levels_is_not_a_field(self):
+        # the depth is set once, by the number of q factors
+        with pytest.raises(TypeError, match="levels"):
+            EmbedConfig(levels=3)
+        assert EmbedConfig().levels == 3
 
     @pytest.mark.parametrize("q", [np.array([0.06, 0.04, 0.02]),
                                    [0.06, 0.04, 0.02], (0.06, 0.04, 0.02),
