@@ -39,8 +39,7 @@ def _round6(x):
 
 def _config_from_args(args):
     return EmbedConfig(alpha=getattr(args, "alpha", EmbedConfig.alpha),
-                       q=(args.q1, args.q2, args.q3),
-                       modulation=args.modulation)
+                       q=(args.q1, args.q2, args.q3))
 
 
 def _add_config_flags(p, alpha=True):
@@ -49,8 +48,6 @@ def _add_config_flags(p, alpha=True):
                        help="watermark strength in (0,1)")
     for level, q in enumerate(EmbedConfig.q, 1):
         p.add_argument(f"--q{level}", type=float, default=q)
-    p.add_argument("--modulation", choices=("negative", "positive"),
-                   default=EmbedConfig.modulation)
 
 
 def _default_seed(args):
@@ -201,7 +198,7 @@ def cmd_bench(args):
             "alpha": cfg.alpha,
             "q": list(cfg.q),
             "levels": cfg.levels,
-            "modulation": cfg.modulation,
+            "modulation": "negative",   # the one polarity: c * (1 - alpha*b)
             "seed": seed,
             "detectors": sorted(detectors),
             "repeat": args.repeat,

@@ -2,9 +2,9 @@
 
 Embedding: the image is decomposed into L levels; in every detail subband
 the coefficients whose magnitude exceeds a subband-adaptive threshold
-T = q_l * max|c| are modulated by c * (1 -/+ alpha*b), where b is the
-mark bit tiled periodically over the subband.  The LL band is never
-touched.  Negative modulation (the default) subtracts for a +1 bit.
+T = q_l * max|c| are modulated by c * (1 - alpha*b), where b is the
+mark bit tiled periodically over the subband: a +1 bit scales c by
+1 - alpha, a -1 bit by 1 + alpha.  The LL band is never touched.
 
 Extraction is non-blind: thresholds and reference coefficients come from
 the original cover.  Each qualifying coefficient casts a sign vote for
@@ -40,10 +40,9 @@ DETECTORS = {"I": DETECTOR_I, "II": DETECTOR_II}
 
 @dataclass(frozen=True)
 class EmbedConfig:
-    """Embedding parameters: strength, a q factor per level, modulation."""
+    """Embedding parameters: strength and a q factor per level."""
     alpha: float = 0.4
     q: tuple = (0.06, 0.04, 0.02)
-    modulation: str = "negative"
 
     def __post_init__(self):
         # a snapshot of plain floats: comparable, hashable and immutable
@@ -54,18 +53,10 @@ class EmbedConfig:
         if not self.q or not all(0.0 < qi < 1.0 for qi in self.q):
             raise ValueError(f"q factors must be in (0,1), one per level, "
                              f"got {self.q}")
-        if self.modulation not in ("negative", "positive"):
-            raise ValueError(f"modulation must be negative or positive, "
-                             f"got {self.modulation!r}")
 
     @property
     def levels(self):   # the pyramid depth
         return len(self.q)
-
-    @property
-    def mod_sign(self):
-        """-1 for negative modulation (factor 1 - alpha*b), else +1."""
-        return -1.0 if self.modulation == "negative" else 1.0
 
 
 @dataclass(frozen=True)
@@ -115,7 +106,7 @@ def embed(pyr, wm, cfg):
     """
     wm = validate_watermark(wm)
     reference = vote_reference(pyr, cfg)
-    plane = (1.0 + cfg.mod_sign * cfg.alpha * wm).ravel()
+    plane = (1.0 - cfg.alpha * wm).ravel()
     detail = dict(pyr.detail)
     sse = 0.0
     with np.errstate(over="ignore"):
@@ -141,7 +132,7 @@ class BandReference(NamedTuple):
     shape: tuple
     positions: np.ndarray   # flat positions in the band
     values: np.ndarray      # cover coefficients c there
-    signs: np.ndarray       # mod_sign * sgn(c), as +-1 integers
+    signs: np.ndarray       # -sgn(c), as +-1 integers
     bits: np.ndarray        # mark bit position of each
 
 
@@ -158,7 +149,7 @@ def vote_reference(cover_pyr, cfg):
         c = cover_pyr.detail[key]
         positions = np.flatnonzero(np.abs(c) > t)
         values = c.ravel()[positions]
-        signs = ((values > 0).astype(np.int8) * 2 - 1) * int(cfg.mod_sign)
+        signs = (values < 0).astype(np.int8) * 2 - 1
         band = BandReference(c.shape, positions, values, signs,
                              _bit_index(positions, c.shape))
         for array in band[1:]:
@@ -171,8 +162,8 @@ def tally_votes(reference, received_pyr):
     """Tally per-subband sign votes for each of the 256 bit positions.
 
     Each qualifying coefficient's raw vote is sgn((c' - c) / c) ==
-    sgn(c' - c) * sgn(c), sign-corrected for the modulation so that a
-    clean roundtrip recovers the embedded bit.  Zero differences abstain.
+    sgn(c' - c) * sgn(c), negated because a +1 bit shrinks |c|, so that
+    a clean roundtrip recovers the embedded bit.  Zero differences abstain.
 
     Returns dict (s, l) -> int array of shape (2, 16, 16): [0] counts of
     +1 votes, [1] counts of -1 votes.
@@ -236,9 +227,11 @@ def decode(tallies, detector):
     """
     if not detector:
         raise ValueError("detector structure must name at least one subband")
-    for key in detector:
+    for i, key in enumerate(detector):
         if key not in tallies:
             raise ValueError(f"detector names subband {key} absent from tallies")
+        if key in detector[:i]:   # its verdict would count twice
+            raise ValueError(f"detector names subband {key} twice")
     verdicts = sum(np.sign(tallies[key][0] - tallies[key][1]) for key in detector)
     return np.where(verdicts >= 0, 1, -1).astype(np.int8)
 
@@ -264,7 +257,7 @@ _cover_memo = ImageMemo()
 
 def _cover_reference(cover, cfg):
     """vote_reference of the cover, if it passes require_capacity; it
-    depends on cfg's modulation and q factors, one per level."""
+    depends on cfg's q factors, one per level."""
     reference = vote_reference(dwt2(cover, cfg.levels), cfg)
     require_capacity(reference)
     return reference
@@ -284,8 +277,7 @@ def extract_image(cover, received, cfg=EmbedConfig(), detector=DETECTOR_I):
     if cover.shape != received.shape:
         raise ValueError(
             f"cover {cover.shape} and received {received.shape} differ in size")
-    reference = _cover_memo.get(cover, (cfg.modulation, cfg.q),
-                                _cover_reference, cfg)
+    reference = _cover_memo.get(cover, cfg.q, _cover_reference, cfg)
     return decode(tally_image(reference, received, detector), detector)
 
 

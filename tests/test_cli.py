@@ -79,12 +79,12 @@ def test_each_call_parses_with_its_own_defaults(workdir, monkeypatch):
     monkeypatch.setattr(cli, "extract_image", record)
     files = [str(workdir / "cover.pgm")] * 2 + [str(workdir / "rec.pbm")]
     assert main(["extract", *files, "--detector", "II",
-                 "--modulation", "positive"]) == 0
+                 "--q1", "0.07"]) == 0
     assert main(["embed", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
                  str(workdir / "marked.pgm"), "--alpha", "0.3"]) == 0
     assert main(["extract", *files]) == 0
     assert main(["extract", *files, "--q2", "0.05"]) == 0
-    assert seen == [(EmbedConfig(modulation="positive"), DETECTOR_II),
+    assert seen == [(EmbedConfig(q=(0.07, 0.04, 0.02)), DETECTOR_II),
                     (EmbedConfig(), DETECTOR_I),
                     (EmbedConfig(q=(0.06, 0.05, 0.02)), DETECTOR_I)]
     assert cli._parser() is cli._parser()
@@ -95,9 +95,14 @@ def test_each_call_parses_with_its_own_defaults(workdir, monkeypatch):
     ["extract", "c.pgm", "r.pgm", "o.pbm", "--levels", "3"],
     ["bench", "c.pgm", "m.pbm", "--levels", "3"],
     ["extract", "c.pgm", "r.pgm", "o.pbm", "--alpha", "0.4"],
-], ids=["embed_levels", "extract_levels", "bench_levels", "extract_alpha"])
+    ["embed", "c.pgm", "m.pbm", "o.pgm", "--modulation", "negative"],
+    ["extract", "c.pgm", "r.pgm", "o.pbm", "--modulation", "negative"],
+    ["bench", "c.pgm", "m.pbm", "--modulation", "negative"],
+], ids=["embed_levels", "extract_levels", "bench_levels", "extract_alpha",
+        "embed_modulation", "extract_modulation", "bench_modulation"])
 def test_removed_config_flags_are_usage_errors(argv, capsys):
-    # the depth is the number of q factors; extract's analysis reads no alpha
+    # the depth is the number of q factors; extract's analysis reads no
+    # alpha; the polarity is fixed, a +1 bit scales c by 1 - alpha
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2

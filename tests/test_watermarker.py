@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dwtmark import metrics, watermarker
+from dwtmark.attacks import apply_attack, parse_spec
 from dwtmark.dwt import ORIENTATIONS, WaveletPyramid, dwt2
 from dwtmark.pixmap import quantize
 from dwtmark.watermarker import (DETECTOR_I, DETECTOR_II, EmbedConfig,
@@ -32,8 +33,8 @@ def recount_votes(cover_pyr, received_pyr, cfg):
                     if abs(c[m, n]) <= t or c[m, n] == 0:
                         continue
                     ratio = (cr[m, n] - c[m, n]) / c[m, n]
-                    raw = int(ratio > 0) - int(ratio < 0)
-                    est = -raw if cfg.modulation == "negative" else raw
+                    # a +1 bit shrinks |c|: the vote is -sgn(ratio)
+                    est = int(ratio < 0) - int(ratio > 0)
                     if est > 0:
                         tally[0, m % 16, n % 16] += 1
                     elif est < 0:
@@ -52,7 +53,7 @@ def loop_embed(pyr, wm, cfg):
             for n in range(c.shape[1]):
                 if abs(c[m, n]) > t:
                     expected[m, n] = c[m, n] * (
-                        1.0 + cfg.mod_sign * cfg.alpha * wm[m % 16, n % 16])
+                        1.0 - cfg.alpha * wm[m % 16, n % 16])
         out[(o, l)] = expected
     return out
 
@@ -166,12 +167,11 @@ class TestEmbed:
         for key, tally in extract_votes(pyr, marked, CFG).items():
             assert (tallies[key] == tally).all()
 
-    @pytest.mark.parametrize("modulation", ["negative", "positive"])
-    def test_matches_loop_oracle_on_ragged_bands(self, modulation):
+    def test_matches_loop_oracle_on_ragged_bands(self):
         # a 40x24 cover gives 20x12 and 10x6 bands, sides that are not
         # multiples of the 16x16 mark, so the mark tiles only partly
         cover = np.random.default_rng(6).uniform(0, 255, (40, 24))
-        cfg = EmbedConfig(q=(0.06, 0.04), modulation=modulation)
+        cfg = EmbedConfig(q=(0.06, 0.04))
         wm = random_mark(6)
         pyr = dwt2(cover, 2)
         out, _ = embed(pyr, wm, cfg)
@@ -249,9 +249,8 @@ class TestExtract:
         with pytest.raises(ValueError, match="mismatch"):
             extract_votes(a, b, CFG_SMALL)
 
-    @pytest.mark.parametrize("modulation", ["negative", "positive"])
-    def test_reused_reference_matches_recount_oracle(self, modulation):
-        cfg = EmbedConfig(q=(0.06, 0.04), modulation=modulation)
+    def test_reused_reference_matches_recount_oracle(self):
+        cfg = EmbedConfig(q=(0.06, 0.04))
         rng = np.random.default_rng(9)
         pyr = small_pyramid(rng)
         marked, _ = embed(pyr, random_mark(9), cfg)
@@ -406,6 +405,16 @@ class TestDecode:
         with pytest.raises(ValueError, match="at least one"):
             decode({}, ())
 
+    def test_repeated_subband_rejected(self, lena_like, mark):
+        # a subband named twice would count its verdict twice
+        twice = (("h", 1), ("h", 1), ("v", 1), ("d", 1))
+        tallies = {key: self._tally(1, 0) for key in DETECTOR_I}
+        with pytest.raises(ValueError, match=r"subband \('h', 1\) twice"):
+            decode(tallies, twice)
+        marked, _ = embed_image(lena_like, mark, CFG)
+        with pytest.raises(ValueError, match="twice"):
+            extract_image(lena_like, marked, CFG, twice)
+
 
 class TestEndToEnd:
     def test_clean_roundtrip_both_detectors(self, lena_like, mark):
@@ -419,12 +428,6 @@ class TestEndToEnd:
         cfg = EmbedConfig(alpha=1e-9)
         marked, _ = embed_image(lena_like, mark, cfg)
         assert np.abs(marked - lena_like).max() < 1e-6
-
-    def test_positive_modulation_roundtrip(self, lena_like, mark):
-        cfg = EmbedConfig(modulation="positive")
-        marked, _ = embed_image(lena_like, mark, cfg)
-        est = extract_image(lena_like, marked, cfg, DETECTOR_I)
-        assert metrics.ber(mark, est) == 0.0
 
     def test_psnr_monotone_in_alpha(self, lena_like, mark):
         psnrs = [embed_image(lena_like, mark, EmbedConfig(alpha=a))[1].psnr
@@ -466,12 +469,38 @@ class TestEndToEnd:
             extract_image(bad, lena_like, CFG, DETECTOR_I)
 
 
+class TestGainLimit:
+    """A vote reads sgn((c' - c) / c).  A gain g on a subband gives
+    c' = g * c * (1 - alpha*b): a -1 bit votes right only if
+    g * (1 + alpha) > 1, a +1 bit only if g * (1 - alpha) < 1.
+    range_map:low=0,up=U scales the image by g = U/255, so below
+    U = 255/(1 + alpha) every bit decodes +1.  range_map cannot reach a
+    gain above 1, so only the lower edge is pinned."""
+
+    # the nearest 6-steps of U on either side that hold on all five
+    # covers and three marks (one case fails at U = 186 for alpha .4)
+    @pytest.mark.parametrize("alpha, below, above", [(0.4, 174, 192),
+                                                     (0.25, 198, 210)])
+    def test_vote_survives_only_gains_above_one_over_one_plus_alpha(
+            self, corpus, mark, alpha, below, above):
+        assert below < 255 / (1 + alpha) < above
+        cfg = EmbedConfig(alpha=alpha)
+        for seed, cover in corpus.items():
+            for wm in (mark, -mark, random_mark(7)):
+                marked, _ = embed_image(cover, wm, cfg)
+                sent = quantize(marked).astype(np.uint8)
+                est = {up: extract_image(cover, apply_attack(
+                    sent, parse_spec(f"range_map:low=0,up={up}")), cfg)
+                    for up in (below, above)}
+                assert (est[below] == 1).all(), seed
+                assert metrics.ber(wm, est[above]) <= 0.01, seed
+
+
 class TestEmbeddingPsnr:
     @pytest.mark.parametrize("levels", [1, 2, 3])
-    @pytest.mark.parametrize("modulation", ["negative", "positive"])
-    def test_matches_pixel_psnr(self, corpus, mark, modulation, levels):
+    def test_matches_pixel_psnr(self, corpus, mark, levels):
         # the report's PSNR comes from the changed coefficients (Parseval)
-        cfg = EmbedConfig(q=CFG.q[:levels], modulation=modulation)
+        cfg = EmbedConfig(q=CFG.q[:levels])
         for cover in corpus.values():
             marked, report = embed_image(cover, mark, cfg)
             assert abs(report.psnr - metrics.psnr(cover, marked)) < 1e-9
@@ -533,8 +562,7 @@ class TestCoverMemo:
             assert np.array_equal(est, want)
         assert metrics.ber(mark, est) > 0.0   # the noise moved some bits
 
-    @pytest.mark.parametrize("change", ["pixel", "q", "levels", "modulation",
-                                        "shape"])
+    @pytest.mark.parametrize("change", ["pixel", "q", "levels", "shape"])
     def test_changed_cover_or_config_misses(self, dwt2_calls, lena_like, mark,
                                             change):
         detector = parse_detector("h1,v1,d2,h2")   # valid at 2 levels
@@ -548,8 +576,6 @@ class TestCoverMemo:
             cfg = EmbedConfig(q=(0.06, 0.04, 0.03))
         elif change == "levels":   # two q factors: a 2-level pyramid
             cfg = EmbedConfig(q=(0.06, 0.04))
-        elif change == "modulation":
-            cfg = EmbedConfig(modulation="positive")
         else:
             cover, received = cover[:, :192], received[:, :192]
         est = extract_image(cover, received, cfg, detector)
@@ -682,9 +708,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="q factors"):
             EmbedConfig(q=(0.06, 1.5, 0.02))
 
-    def test_modulation_name(self):
-        with pytest.raises(ValueError, match="modulation"):
-            EmbedConfig(modulation="sideways")
+    def test_modulation_is_not_a_field(self):
+        # one polarity: a +1 bit scales c by 1 - alpha
+        with pytest.raises(TypeError, match="modulation"):
+            EmbedConfig(modulation="negative")
 
     @pytest.mark.parametrize("q", [(0.06,), (0.06, 0.04), (0.06, 0.04, 0.02),
                                    (0.06, 0.04, 0.02, 0.01)],
