@@ -98,11 +98,15 @@ def test_each_call_parses_with_its_own_defaults(workdir, monkeypatch):
     ["embed", "c.pgm", "m.pbm", "o.pgm", "--modulation", "negative"],
     ["extract", "c.pgm", "r.pgm", "o.pbm", "--modulation", "negative"],
     ["bench", "c.pgm", "m.pbm", "--modulation", "negative"],
+    ["bench", "c.pgm", "m.pbm", "--repeat", "2"],
+    ["attack", "i.pgm", "o.pgm", "add_noise", "--seed", "7"],
 ], ids=["embed_levels", "extract_levels", "bench_levels", "extract_alpha",
-        "embed_modulation", "extract_modulation", "bench_modulation"])
+        "embed_modulation", "extract_modulation", "bench_modulation",
+        "bench_repeat", "attack_seed"])
 def test_removed_config_flags_are_usage_errors(argv, capsys):
     # the depth is the number of q factors; extract's analysis reads no
-    # alpha; the polarity is fixed, a +1 bit scales c by 1 - alpha
+    # alpha; the polarity is fixed, a +1 bit scales c by 1 - alpha; a
+    # bench row is one trial at --seed; an attack's seed is its spec's
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
@@ -382,20 +386,11 @@ def test_bench_deterministic_byte_identical(workdir):
     assert (workdir / "r1.csv").read_bytes() == (workdir / "r2.csv").read_bytes()
 
 
-def test_bench_repeat_reports_std(workdir):
-    main(["bench", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
-          "--attacks", "add_noise", "--repeat", "3",
-          "--out", str(workdir / "r.json")])
-    report = json.loads((workdir / "r.json").read_text())
-    entry = report["attacks"][0]["detectors"]["I"]
-    assert "ber_std" in entry
-
-
 def test_bench_row_equals_standalone_composition(workdir, capsys):
     main(["embed", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
           str(workdir / "marked.pgm")])
     main(["attack", str(workdir / "marked.pgm"), str(workdir / "att.pgm"),
-          "add_noise", "--seed", "21"])
+          "add_noise:seed=21"])
     main(["extract", str(workdir / "cover.pgm"), str(workdir / "att.pgm"),
           str(workdir / "rec.pbm"), "--detector", "I",
           "--truth", str(workdir / "mark.pbm")])
@@ -457,7 +452,7 @@ def test_bench_detector_entries_do_not_depend_on_the_others(workdir):
 # embedding, attacks, extraction or report formatting shows up here
 GOLDEN_SHA256 = {
     "report.json":
-        "5d42c9b8f29364a2a9de23eab1b861ced6449b7b8e8d07c362b23b4ff974031e",
+        "76dea6fbefd47d803e1a0355bcff17c212187f31fabb8548a9ba70b297a54fda",
     "report_sweep.csv":
         "5580d6358a9aa920ac90761962e076b637ef35707ffeb5fa9097fa15968ec065",
 }
@@ -470,8 +465,7 @@ def test_bench_golden_bytes(tmp_path, monkeypatch, lena_like, mark):
     write_watermark(mark, "mark.pbm")
     rc = main(["bench", "cover.pgm", "mark.pbm",
                "--attacks", "median;add_noise;jpeg:q=50", "--seed", "11",
-               "--repeat", "2", "--jpeg-sweep", "40..80",
-               "--jpeg-sweep-step", "20"])
+               "--jpeg-sweep", "40..80", "--jpeg-sweep-step", "20"])
     assert rc == 0
     for name, digest in GOLDEN_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
@@ -500,7 +494,6 @@ def test_full_default_bench_golden_bytes(tmp_path, monkeypatch, lena_like,
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--repeat", "0"], "--repeat must be >= 1"),
     (["--jpeg-sweep", "10..30", "--jpeg-sweep-step", "0"],
      "--jpeg-sweep-step must be >= 1"),
     (["--jpeg-sweep", "0..10"], "1 <= LO <= HI <= 100"),
@@ -512,7 +505,7 @@ def test_full_default_bench_golden_bytes(tmp_path, monkeypatch, lena_like,
     (["--detectors", "I;i"], "--detectors names 'i' twice"),
     (["--detectors", "II;h2,v2,v3"], "--detectors names 'h2,v2,v3' twice"),
     (["--detectors", "h1,v2;v2,h1"], "--detectors names 'v2,h1' twice"),
-], ids=["repeat", "sweep_step", "sweep_low", "sweep_high", "seed",
+], ids=["sweep_step", "sweep_low", "sweep_high", "seed",
         "detector_level", "detector_level_zero", "detector_twice",
         "detector_twice_spelt_otherwise", "detector_ii_as_a_list",
         "detector_list_reordered"])
@@ -591,7 +584,7 @@ def test_attack_rejects_negative_seed_before_work(workdir, capsys,
         raise AssertionError("read an input before checking the seed")
     monkeypatch.setattr(cli, "read_raster", no_work)
     out = workdir / "out"
-    assert main(["attack", str(workdir / "cover.pgm"), str(out), "add_noise",
-                 "--seed", "-5"]) == 1
-    assert "seed must be >= 0, got -5" in capsys.readouterr().err
+    assert main(["attack", str(workdir / "cover.pgm"), str(out),
+                 "add_noise:seed=-5"]) == 1
+    assert "bad value '-5' for add_noise.seed" in capsys.readouterr().err
     assert not out.exists()

@@ -475,7 +475,8 @@ class TestGainLimit:
     g * (1 + alpha) > 1, a +1 bit only if g * (1 - alpha) < 1.
     range_map:low=0,up=U scales the image by g = U/255, so below
     U = 255/(1 + alpha) every bit decodes +1.  range_map cannot reach a
-    gain above 1, so only the lower edge is pinned."""
+    gain above 1, so only the lower edge is pinned.  invert (255 - x)
+    negates every detail coefficient, a gain g = -1 below that edge."""
 
     # the nearest 6-steps of U on either side that hold on all five
     # covers and three marks (one case fails at U = 186 for alpha .4)
@@ -494,6 +495,20 @@ class TestGainLimit:
                     for up in (below, above)}
                 assert (est[below] == 1).all(), seed
                 assert metrics.ber(wm, est[above]) <= 0.01, seed
+
+    @pytest.mark.parametrize("alpha", [0.4, 0.25])
+    @pytest.mark.parametrize("detector", [DETECTOR_I, DETECTOR_II],
+                             ids=["I", "II"])
+    def test_invert_decodes_all_plus_one(self, corpus, mark, alpha, detector):
+        # (c' - c) / c = -(2 - alpha*b) < 0 at every coefficient: a +1 vote
+        cfg = EmbedConfig(alpha=alpha)
+        for seed, cover in corpus.items():
+            for wm in (mark, -mark, random_mark(7)):
+                marked, _ = embed_image(cover, wm, cfg)
+                inverted = apply_attack(quantize(marked).astype(np.uint8),
+                                        parse_spec("invert"))
+                est = extract_image(cover, inverted, cfg, detector)
+                assert (est == 1).all(), seed
 
 
 class TestEmbeddingPsnr:
