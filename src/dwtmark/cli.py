@@ -7,6 +7,10 @@ that reference (`tally_image`), decodes every requested detector
 (`--detectors`, ';'-separated) from that one tally and writes a JSON
 report (plus a CSV when a JPEG quality sweep is requested).
 Reports are deterministic for a given (inputs, flags, seed).
+
+Every command runs EmbedConfig()'s q factors, so embed, extract and bench
+derive one significance map from a cover; only --alpha, which extraction
+never reads, is settable (on embed and bench).
 """
 
 import argparse
@@ -37,33 +41,21 @@ def _round6(x):
     return "inf" if x == math.inf else round(x, 6)
 
 
-def _config_from_args(args):
-    return EmbedConfig(alpha=getattr(args, "alpha", EmbedConfig.alpha),
-                       q=(args.q1, args.q2, args.q3))
-
-
-def _add_config_flags(p, alpha=True):
-    if alpha:
-        p.add_argument("--alpha", type=float, default=EmbedConfig.alpha,
-                       help="watermark strength in (0,1)")
-    for level, q in enumerate(EmbedConfig.q, 1):
-        p.add_argument(f"--q{level}", type=float, default=q)
-
-
-def _detector(text, cfg):
-    """parse_detector(text), refusing a subband deeper than cfg's pyramid."""
+def _detector(text):
+    """parse_detector(text), refusing a subband deeper than the pyramid."""
     detector = parse_detector(text)
+    levels = EmbedConfig().levels
     for s, l in detector:
-        if l > cfg.levels:
+        if l > levels:
             raise ValueError(f"detector subband {s}{l} is deeper than the "
-                             f"{cfg.levels}-level pyramid")
+                             f"{levels}-level pyramid")
     return detector
 
 
 def cmd_embed(args):
+    cfg = EmbedConfig(alpha=args.alpha)   # first: a bad alpha writes nothing
     cover = read_raster(args.cover)
     wm = read_watermark(args.watermark)
-    cfg = _config_from_args(args)
     marked, report = embed_image(cover, wm, cfg)
     write_image(marked, args.out)
     print(f"psnr_db={_round6(report.psnr)} "
@@ -72,12 +64,11 @@ def cmd_embed(args):
 
 
 def cmd_extract(args):
-    cfg = _config_from_args(args)
-    detector = _detector(args.detector, cfg)
+    detector = _detector(args.detector)
     truth = read_watermark(args.truth) if args.truth else None
     cover = read_raster(args.cover)
     received = read_raster(args.received)
-    est = extract_image(cover, received, cfg, detector)
+    est = extract_image(cover, received, detector=detector)
     write_watermark(est, args.out)
     if args.truth:
         print(f"ber={_round6(metrics.ber(truth, est))} "
@@ -130,10 +121,10 @@ def cmd_bench(args):
             raise ValueError(f"output {path!r} is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"output {path!r}: no such directory")
-    cfg = _config_from_args(args)
+    cfg = EmbedConfig(alpha=args.alpha)
     detectors = {}
     for name in map(str.strip, args.detectors.split(";")):
-        structure = _detector(name, cfg)
+        structure = _detector(name)
         if set(structure) in map(set, detectors.values()):
             raise ValueError(f"--detectors names {name!r} twice: an earlier "
                              f"detector has the same subbands")
@@ -147,21 +138,24 @@ def cmd_bench(args):
 
     def row(spec_text):
         """The report row of spec_text: one attack trial, at --seed
-        unless the spec sets its own seed=.
+        unless the spec sets its own seed=, and the row's "seed" is the
+        one drawn at (--seed for a spec that fails to parse).
 
         The attacked image is tallied once against the cover reference,
         in the detectors' subbands; every detector decodes from that one
         tally.  The marks are +-1, so NCC is exactly 1 - 2*BER.
         """
+        seed = args.seed
         try:
-            attacked = apply_attack(transmitted, parse_spec(spec_text),
-                                    default_seed=args.seed)
+            spec = parse_spec(spec_text)
+            seed = spec.params.get("seed", args.seed)
+            attacked = apply_attack(transmitted, spec, default_seed=args.seed)
             tallies = tally_image(embed_report.reference, attacked, used)
             bers = {name: metrics.ber(wm, decode(tallies, detectors[name]))
                     for name in sorted(detectors)}
         except ValueError as e:
-            return {"spec": spec_text, "seed": args.seed, "error": str(e)}
-        return {"spec": spec_text, "seed": args.seed,
+            return {"spec": spec_text, "seed": seed, "error": str(e)}
+        return {"spec": spec_text, "seed": seed,
                 "detectors": {name: {"ber": _round6(b),
                                      "ncc": _round6(1.0 - 2.0 * b)}
                               for name, b in bers.items()}}
@@ -223,7 +217,8 @@ def build_parser():
     p.add_argument("cover")
     p.add_argument("watermark")
     p.add_argument("out")
-    _add_config_flags(p)
+    p.add_argument("--alpha", type=float, default=EmbedConfig.alpha,
+                   help="watermark strength in (0,1)")
 
     p = sub.add_parser("extract", help="recover the mark from a received image")
     p.add_argument("cover")
@@ -232,7 +227,6 @@ def build_parser():
     p.add_argument("--detector", default="I",
                    help="I, II, or a subband list like h2,v2,v3")
     p.add_argument("--truth", help="reference mark (PBM) for BER/NCC")
-    _add_config_flags(p, alpha=False)   # its analysis reads no alpha
 
     p = sub.add_parser("attack", help="apply one attack to an image")
     p.add_argument("input")
@@ -253,7 +247,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="report.json")
     p.add_argument("--sweep-out", default=None)
-    _add_config_flags(p)
+    p.add_argument("--alpha", type=float, default=EmbedConfig.alpha,
+                   help="watermark strength in (0,1)")
     return parser
 
 

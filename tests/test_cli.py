@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -38,6 +40,15 @@ def test_embed_alpha_near_zero_transparent(workdir):
     assert (cover == marked).all()
 
 
+def test_embed_checks_alpha_before_reading(workdir, capsys):
+    # the cover does not exist: the alpha error comes first, nothing is written
+    out = workdir / "o.pgm"
+    assert main(["embed", str(workdir / "missing.pgm"),
+                 str(workdir / "mark.pbm"), str(out), "--alpha", "1.5"]) == 1
+    assert "alpha must be in (0,1), got 1.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_watermark_file_fails(workdir, capsys):
     rc = main(["embed", str(workdir / "cover.pgm"),
                str(workdir / "nope.pbm"), str(workdir / "out.pgm")])
@@ -45,9 +56,11 @@ def test_missing_watermark_file_fails(workdir, capsys):
     assert "nope.pbm" in capsys.readouterr().err
 
 
-def test_extract_clean_roundtrip(workdir, capsys, mark):
+@pytest.mark.parametrize("alpha", ["0.4", "0.25"])
+def test_extract_clean_roundtrip(workdir, capsys, mark, alpha):
+    # extraction reads only signs: it takes no flag, whatever alpha marked
     main(["embed", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
-          str(workdir / "marked.pgm")])
+          str(workdir / "marked.pgm"), "--alpha", alpha])
     rc = main(["extract", str(workdir / "cover.pgm"),
                str(workdir / "marked.pgm"), str(workdir / "rec.pbm"),
                "--detector", "I", "--truth", str(workdir / "mark.pbm")])
@@ -72,22 +85,32 @@ def test_each_call_parses_with_its_own_defaults(workdir, monkeypatch):
     # main() reuses one parser; no flag of one call may leak into the next
     seen = []
 
-    def record(cover, received, cfg, detector):
-        seen.append((cfg, detector))
+    def record_embed(cover, wm, cfg):
+        seen.append(cfg)
+        return cover, SimpleNamespace(psnr=math.inf, total_modified=0)
+
+    def record_extract(cover, received, detector):
+        seen.append(detector)
         return read_watermark(workdir / "mark.pbm")
 
-    monkeypatch.setattr(cli, "extract_image", record)
-    files = [str(workdir / "cover.pgm")] * 2 + [str(workdir / "rec.pbm")]
-    assert main(["extract", *files, "--detector", "II",
-                 "--q1", "0.07"]) == 0
-    assert main(["embed", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
-                 str(workdir / "marked.pgm"), "--alpha", "0.3"]) == 0
-    assert main(["extract", *files]) == 0
-    assert main(["extract", *files, "--q2", "0.05"]) == 0
-    assert seen == [(EmbedConfig(q=(0.07, 0.04, 0.02)), DETECTOR_II),
-                    (EmbedConfig(), DETECTOR_I),
-                    (EmbedConfig(q=(0.06, 0.05, 0.02)), DETECTOR_I)]
+    monkeypatch.setattr(cli, "embed_image", record_embed)
+    monkeypatch.setattr(cli, "extract_image", record_extract)
+    embed = ["embed", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
+             str(workdir / "marked.pgm")]
+    extract = ["extract", *[str(workdir / "cover.pgm")] * 2,
+               str(workdir / "rec.pbm")]
+    assert main([*embed, "--alpha", "0.3"]) == 0
+    assert main([*extract, "--detector", "II"]) == 0
+    assert main(embed) == 0
+    assert main(extract) == 0
+    assert seen == [EmbedConfig(alpha=0.3), DETECTOR_II,
+                    EmbedConfig(), DETECTOR_I]
     assert cli._parser() is cli._parser()
+
+
+Q_FLAG_COMMANDS = (["embed", "c.pgm", "m.pbm", "o.pgm"],
+                   ["extract", "c.pgm", "r.pgm", "o.pbm"],
+                   ["bench", "c.pgm", "m.pbm"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -100,13 +123,19 @@ def test_each_call_parses_with_its_own_defaults(workdir, monkeypatch):
     ["bench", "c.pgm", "m.pbm", "--modulation", "negative"],
     ["bench", "c.pgm", "m.pbm", "--repeat", "2"],
     ["attack", "i.pgm", "o.pgm", "add_noise", "--seed", "7"],
+    *([*command, f"--q{level}", "0.05"]
+      for command in Q_FLAG_COMMANDS for level in (1, 2, 3)),
 ], ids=["embed_levels", "extract_levels", "bench_levels", "extract_alpha",
         "embed_modulation", "extract_modulation", "bench_modulation",
-        "bench_repeat", "attack_seed"])
+        "bench_repeat", "attack_seed",
+        *(f"{command[0]}_q{level}"
+          for command in Q_FLAG_COMMANDS for level in (1, 2, 3))])
 def test_removed_config_flags_are_usage_errors(argv, capsys):
-    # the depth is the number of q factors; extract's analysis reads no
-    # alpha; the polarity is fixed, a +1 bit scales c by 1 - alpha; a
-    # bench row is one trial at --seed; an attack's seed is its spec's
+    # the depth is the number of q factors, and the CLI's q factors are
+    # EmbedConfig's, so embed, extract and bench share one significance
+    # map; extract's analysis reads no alpha; the polarity is fixed, a +1
+    # bit scales c by 1 - alpha; a bench row is one trial at --seed; an
+    # attack's seed is its spec's
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
@@ -401,6 +430,22 @@ def test_bench_row_equals_standalone_composition(workdir, capsys):
           "--out", str(workdir / "r.json")])
     report = json.loads((workdir / "r.json").read_text())
     assert report["attacks"][0]["detectors"]["I"]["ber"] == pytest.approx(ber)
+
+
+def test_bench_row_seed_is_the_seed_it_drew_at(workdir):
+    # a spec's seed= overrides --seed for its row, and the row says so; a
+    # spec that fails to parse keeps --seed
+    def bench(seed, attacks, name):
+        main(["bench", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
+              "--attacks", attacks, "--seed", seed,
+              "--out", str(workdir / name)])
+        return json.loads((workdir / name).read_text())["attacks"]
+
+    rows = bench("9", "add_noise:seed=2;median;add_noise:seed=-5", "r9.json")
+    assert [row["seed"] for row in rows] == [2, 9, 9]
+    assert "error" in rows[2]
+    [at_2] = bench("2", "add_noise", "r2.json")
+    assert at_2["seed"] == 2 and at_2["detectors"] == rows[0]["detectors"]
 
 
 def test_bench_detectors_are_semicolon_separated(workdir, capsys):
