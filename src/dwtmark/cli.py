@@ -89,11 +89,8 @@ def _bench_rows(args):
 
 
 def _sweep_qualities(args):
-    """The JPEG qualities --jpeg-sweep asks for (none when it is unset)."""
-    if args.jpeg_sweep_step < 1:
-        raise ValueError(
-            f"--jpeg-sweep-step must be >= 1, got {args.jpeg_sweep_step}")
-    if not args.jpeg_sweep:
+    """--jpeg-sweep's qualities LO, LO+10, ... <= HI (none when unset)."""
+    if args.jpeg_sweep is None:
         return range(0)
     lo, _, hi = args.jpeg_sweep.partition("..")
     try:
@@ -103,19 +100,19 @@ def _sweep_qualities(args):
     if not 1 <= lo <= hi <= 100:
         raise ValueError(f"--jpeg-sweep needs 1 <= LO <= HI <= 100, "
                          f"got {args.jpeg_sweep!r}")
-    return range(lo, hi + 1, args.jpeg_sweep_step)
+    return range(lo, hi + 1, 10)
 
 
 def cmd_bench(args):
     if args.seed < 0:
         raise ValueError(f"seed must be >= 0, got {args.seed}")
     qualities = _sweep_qualities(args)
-    if args.sweep_out and not qualities:
-        raise ValueError("--sweep-out needs --jpeg-sweep")
-    sweep_path = (args.sweep_out or os.path.splitext(args.out)[0]
-                  + "_sweep.csv") if qualities else None
+    sweep_path = (os.path.splitext(args.out)[0] + "_sweep.csv"
+                  if qualities else None)
+    # splitext's extension is "" or starts with ".", so only a link can
+    # make the CSV overwrite the report
     if sweep_path and os.path.realpath(sweep_path) == os.path.realpath(args.out):
-        raise ValueError(f"--sweep-out {sweep_path!r} is also --out")
+        raise ValueError(f"sweep CSV {sweep_path!r} is also --out")
     for path in filter(None, (args.out, sweep_path)):
         if os.path.isdir(path):
             raise ValueError(f"output {path!r} is a directory")
@@ -242,11 +239,10 @@ def build_parser():
                    help="';'-separated detectors: I, II, or subband lists "
                         "like h2,v2,v3")
     p.add_argument("--jpeg-sweep", default=None, metavar="LO..HI",
-                   help="also sweep JPEG quality, e.g. 10..90")
-    p.add_argument("--jpeg-sweep-step", type=int, default=10)
+                   help="also sweep JPEG quality every 10 from LO, e.g. "
+                        "10..90, into <out stem>_sweep.csv")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="report.json")
-    p.add_argument("--sweep-out", default=None)
     p.add_argument("--alpha", type=float, default=EmbedConfig.alpha,
                    help="watermark strength in (0,1)")
     return parser

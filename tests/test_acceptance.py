@@ -189,15 +189,13 @@ def test_criterion_9_bench_determinism(tmp_path, lena_like, mark):
         rc = main(["bench", str(tmp_path / "cover.pgm"),
                    str(tmp_path / "mark.pbm"),
                    "--attacks", "median;add_noise;jpeg:q=50",
-                   "--jpeg-sweep", "40..80", "--jpeg-sweep-step", "20",
-                   "--seed", "17",
-                   "--out", str(tmp_path / f"{name}.json"),
-                   "--sweep-out", str(tmp_path / f"{name}.csv")])
+                   "--jpeg-sweep", "40..80", "--seed", "17",
+                   "--out", str(tmp_path / f"{name}.json")])
         assert rc == 0
     j1 = (tmp_path / "r1.json").read_bytes()
     j2 = (tmp_path / "r2.json").read_bytes()
-    c1 = (tmp_path / "r1.csv").read_bytes()
-    c2 = (tmp_path / "r2.csv").read_bytes()
+    c1 = (tmp_path / "r1_sweep.csv").read_bytes()
+    c2 = (tmp_path / "r2_sweep.csv").read_bytes()
     assert j1 == j2 and c1 == c2
     json.loads(j1)
     _report(9, f"bench outputs byte-identical ({len(j1)}B json, {len(c1)}B csv)")

@@ -122,25 +122,33 @@ Q_FLAG_COMMANDS = (["embed", "c.pgm", "m.pbm", "o.pgm"],
     ["extract", "c.pgm", "r.pgm", "o.pbm", "--modulation", "negative"],
     ["bench", "c.pgm", "m.pbm", "--modulation", "negative"],
     ["bench", "c.pgm", "m.pbm", "--repeat", "2"],
+    ["bench", "c.pgm", "m.pbm", "--jpeg-sweep", "10..90",
+     "--sweep-out", "s.csv"],
+    ["bench", "c.pgm", "m.pbm", "--jpeg-sweep", "10..90",
+     "--jpeg-sweep-step", "20"],
     ["attack", "i.pgm", "o.pgm", "add_noise", "--seed", "7"],
     *([*command, f"--q{level}", "0.05"]
       for command in Q_FLAG_COMMANDS for level in (1, 2, 3)),
 ], ids=["embed_levels", "extract_levels", "bench_levels", "extract_alpha",
         "embed_modulation", "extract_modulation", "bench_modulation",
-        "bench_repeat", "attack_seed",
+        "bench_repeat", "bench_sweep_out", "bench_sweep_step", "attack_seed",
         *(f"{command[0]}_q{level}"
           for command in Q_FLAG_COMMANDS for level in (1, 2, 3))])
-def test_removed_config_flags_are_usage_errors(argv, capsys):
+def test_removed_config_flags_are_usage_errors(argv, capsys, tmp_path,
+                                               monkeypatch):
     # the depth is the number of q factors, and the CLI's q factors are
     # EmbedConfig's, so embed, extract and bench share one significance
     # map; extract's analysis reads no alpha; the polarity is fixed, a +1
     # bit scales c by 1 - alpha; a bench row is one trial at --seed; an
-    # attack's seed is its spec's
+    # attack's seed is its spec's; a JPEG sweep steps by 10 into
+    # <out stem>_sweep.csv
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in (
         capsys.readouterr().err)
+    assert not any(tmp_path.iterdir())
 
 
 def test_main_runs_the_command_bound_at_call_time(monkeypatch):
@@ -317,12 +325,10 @@ def test_bench_bad_row_recorded_not_fatal(workdir):
 def test_bench_jpeg_sweep_csv(workdir):
     main(["bench", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
           "--attacks", "gamma", "--jpeg-sweep", "30..90",
-          "--jpeg-sweep-step", "30",
-          "--out", str(workdir / "r.json"),
-          "--sweep-out", str(workdir / "sweep.csv")])
-    lines = (workdir / "sweep.csv").read_text().strip().splitlines()
+          "--out", str(workdir / "r.json")])
+    lines = (workdir / "r_sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "quality,detector,ber,ncc"
-    assert len(lines) == 1 + 3 * 2  # qualities 30,60,90 x detectors I,II
+    assert len(lines) == 1 + 7 * 2  # qualities 30,40,...,90 x detectors I,II
     rows = [ln.split(",") for ln in lines[1:]]
     by_det = {}
     for q, det, ber, ncc in rows:
@@ -341,10 +347,9 @@ def test_bench_sweep_point_equals_its_attack_row(workdir, monkeypatch):
                         lambda img: dcts.append(img.shape) or block_dct(img))
     main(["bench", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
           "--attacks", "jpeg:q=50", "--jpeg-sweep", "40..60",
-          "--out", str(workdir / "r.json"),
-          "--sweep-out", str(workdir / "sweep.csv")])
+          "--out", str(workdir / "r.json")])
     row = json.loads((workdir / "r.json").read_text())["attacks"][0]
-    with open(workdir / "sweep.csv", newline="") as fh:
+    with open(workdir / "r_sweep.csv", newline="") as fh:
         sweep = list(csv.DictReader(fh))
     assert len(sweep) == 3 * 2
     at_50 = {s["detector"]: s for s in sweep if s["quality"] == "50"}
@@ -386,11 +391,10 @@ def test_bench_failing_row_is_recorded_failing_sweep_point_stops(
     fail_jpeg(monkeypatch)
     message = "jpeg:q=10 failed"
     assert main([*bench, "--attacks", "median", "--jpeg-sweep", "10..20",
-                 "--out", str(workdir / "s.json"),
-                 "--sweep-out", str(workdir / "s.csv")]) == 1
+                 "--out", str(workdir / "s.json")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (workdir / "s.json").exists()
-    assert not (workdir / "s.csv").exists()
+    assert not (workdir / "s_sweep.csv").exists()
 
 
 def test_bench_failing_sweep_stops_before_the_attack_rows(
@@ -408,11 +412,11 @@ def test_bench_deterministic_byte_identical(workdir):
     for name in ("r1", "r2"):
         main(["bench", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
               "--attacks", "median;add_noise;jpeg:q=50", "--seed", "11",
-              "--jpeg-sweep", "40..80", "--jpeg-sweep-step", "40",
-              "--out", str(workdir / f"{name}.json"),
-              "--sweep-out", str(workdir / f"{name}.csv")])
+              "--jpeg-sweep", "40..80",
+              "--out", str(workdir / f"{name}.json")])
     assert (workdir / "r1.json").read_bytes() == (workdir / "r2.json").read_bytes()
-    assert (workdir / "r1.csv").read_bytes() == (workdir / "r2.csv").read_bytes()
+    assert ((workdir / "r1_sweep.csv").read_bytes()
+            == (workdir / "r2_sweep.csv").read_bytes())
 
 
 def test_bench_row_equals_standalone_composition(workdir, capsys):
@@ -481,8 +485,7 @@ def test_bench_detector_entries_do_not_depend_on_the_others(workdir):
         assert main(["bench", str(workdir / "cover.pgm"),
                      str(workdir / "mark.pbm"), "--detectors", detectors,
                      "--attacks", "median;jpeg:q=30;add_noise;crop_half",
-                     "--jpeg-sweep", "20..60", "--jpeg-sweep-step", "20",
-                     "--out", str(out)]) == 0
+                     "--jpeg-sweep", "20..60", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         sweep = out.with_name(out.stem + "_sweep.csv").read_text().splitlines()
         reports[detectors] = (
@@ -490,7 +493,7 @@ def test_bench_detector_entries_do_not_depend_on_the_others(workdir):
             [line for line in sweep if ",II," in line],
             report["transparency"])
     assert reports["II"] == reports["I;II"]
-    assert len(reports["II"][1]) == 3
+    assert len(reports["II"][1]) == 5
 
 
 # sha256 of the files the golden bench run below writes; a change to
@@ -499,8 +502,12 @@ GOLDEN_SHA256 = {
     "report.json":
         "76dea6fbefd47d803e1a0355bcff17c212187f31fabb8548a9ba70b297a54fda",
     "report_sweep.csv":
-        "5580d6358a9aa920ac90761962e076b637ef35707ffeb5fa9097fa15968ec065",
+        "96d9b0286fe01bfe1a623c013e226cbc0e65333e56497c710245c428b92a3b73",
 }
+# the header and the q = 40, 60, 80 lines of report_sweep.csv, pinned
+# when the sweep of this run stepped by 20
+GOLDEN_SWEEP_EVERY_20_SHA256 = (
+    "5580d6358a9aa920ac90761962e076b637ef35707ffeb5fa9097fa15968ec065")
 
 
 def test_bench_golden_bytes(tmp_path, monkeypatch, lena_like, mark):
@@ -510,10 +517,14 @@ def test_bench_golden_bytes(tmp_path, monkeypatch, lena_like, mark):
     write_watermark(mark, "mark.pbm")
     rc = main(["bench", "cover.pgm", "mark.pbm",
                "--attacks", "median;add_noise;jpeg:q=50", "--seed", "11",
-               "--jpeg-sweep", "40..80", "--jpeg-sweep-step", "20"])
+               "--jpeg-sweep", "40..80"])
     assert rc == 0
     for name, digest in GOLDEN_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+    lines = (tmp_path / "report_sweep.csv").read_bytes().splitlines(True)
+    every_20 = b"".join(line for line in lines
+                        if not line.startswith((b"50,", b"70,")))
+    assert hashlib.sha256(every_20).hexdigest() == GOLDEN_SWEEP_EVERY_20_SHA256
 
 
 # the same for every DEFAULT_BENCH row and a nine-point JPEG sweep,
@@ -539,8 +550,7 @@ def test_full_default_bench_golden_bytes(tmp_path, monkeypatch, lena_like,
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--jpeg-sweep", "10..30", "--jpeg-sweep-step", "0"],
-     "--jpeg-sweep-step must be >= 1"),
+    (["--jpeg-sweep", ""], "bad sweep range: ''"),
     (["--jpeg-sweep", "0..10"], "1 <= LO <= HI <= 100"),
     (["--jpeg-sweep", "90..101"], "1 <= LO <= HI <= 100"),
     (["--seed", "-1"], "seed must be >= 0"),
@@ -550,7 +560,7 @@ def test_full_default_bench_golden_bytes(tmp_path, monkeypatch, lena_like,
     (["--detectors", "I;i"], "--detectors names 'i' twice"),
     (["--detectors", "II;h2,v2,v3"], "--detectors names 'h2,v2,v3' twice"),
     (["--detectors", "h1,v2;v2,h1"], "--detectors names 'v2,h1' twice"),
-], ids=["sweep_step", "sweep_low", "sweep_high", "seed",
+], ids=["sweep_empty", "sweep_low", "sweep_high", "seed",
         "detector_level", "detector_level_zero", "detector_twice",
         "detector_twice_spelt_otherwise", "detector_ii_as_a_list",
         "detector_list_reordered"])
@@ -569,25 +579,25 @@ def test_bench_rejects_bad_flags_before_work(workdir, capsys, monkeypatch,
 # output flags are checked with the others: neither a report nor a sweep
 # CSV is written when one of them is bad
 @pytest.mark.parametrize("flags, message", [
-    (["--jpeg-sweep", "10..20", "--sweep-out", "{d}/r.json"],
-     "--sweep-out '{d}/r.json' is also --out"),
-    (["--jpeg-sweep", "10..20", "--sweep-out", "{d}/./r.json"],
-     "is also --out"),
-    (["--jpeg-sweep", "10..20", "--sweep-out", "{d}/nodir/s.csv"],
-     "output '{d}/nodir/s.csv': no such directory"),
+    (["--out", "{d}/nodir/r.json", "--jpeg-sweep", "10..20"],
+     "output '{d}/nodir/r.json': no such directory"),
+    (["--jpeg-sweep", "10..20"], "output '{d}/r_sweep.csv' is a directory"),
+    (["--out", "{d}/s.json", "--jpeg-sweep", "10..20"],
+     "sweep CSV '{d}/s_sweep.csv' is also --out"),
     (["--out", "{d}/nodir/r.json"],
      "output '{d}/nodir/r.json': no such directory"),
-    (["--jpeg-sweep-step", "0"], "--jpeg-sweep-step must be >= 1, got 0"),
-    (["--sweep-out", "{d}/s.csv"], "--sweep-out needs --jpeg-sweep"),
     (["--out", "{d}"], "output '{d}' is a directory"),
-], ids=["sweep_is_out", "sweep_is_out_dotted", "sweep_dir_missing",
-        "out_dir_missing", "step_without_sweep", "sweep_out_without_sweep",
-        "out_is_dir"])
+], ids=["sweep_dir_missing", "sweep_is_dir", "sweep_is_out_linked",
+        "out_dir_missing", "out_is_dir"])
 def test_bench_checks_its_outputs_before_work(workdir, capsys, monkeypatch,
                                               flags, message):
     def no_work(*_):
         raise AssertionError("bench read its inputs before checking flags")
     monkeypatch.setattr(cli, "read_raster", no_work)
+    # the sweep CSVs of --out r.json and s.json: a directory, and a link
+    # to the report; only a sweep refuses them
+    (workdir / "r_sweep.csv").mkdir()
+    (workdir / "s_sweep.csv").symlink_to(workdir / "s.json")
     before = sorted(workdir.iterdir())
     rc = main(["bench", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
                "--out", str(workdir / "r.json"),

@@ -474,9 +474,10 @@ class TestGainLimit:
     c' = g * c * (1 - alpha*b): a -1 bit votes right only if
     g * (1 + alpha) > 1, a +1 bit only if g * (1 - alpha) < 1.
     range_map:low=0,up=U scales the image by g = U/255, so below
-    U = 255/(1 + alpha) every bit decodes +1.  range_map cannot reach a
-    gain above 1, so only the lower edge is pinned.  invert (255 - x)
-    negates every detail coefficient, a gain g = -1 below that edge."""
+    U = 255/(1 + alpha) every bit decodes +1.  intensity_adjust stretches
+    an image to 0..255, a gain g = 255/(max - min) above 1, so above
+    g = 1/(1 - alpha) every bit decodes -1.  invert (255 - x) negates
+    every detail coefficient, a gain g = -1 below the lower edge."""
 
     # the nearest 6-steps of U on either side that hold on all five
     # covers and three marks (one case fails at U = 186 for alpha .4)
@@ -495,6 +496,35 @@ class TestGainLimit:
                     for up in (below, above)}
                 assert (est[below] == 1).all(), seed
                 assert metrics.ber(wm, est[above]) <= 0.01, seed
+
+    @pytest.mark.parametrize("alpha, spans", [(0.4, (140, 150, 160, 170)),
+                                              (0.25, (185, 195, 205, 215))],
+                             ids=["0.4", "0.25"])
+    def test_vote_survives_only_gains_below_one_over_one_minus_alpha(
+            self, corpus, mark, alpha, spans):
+        # each cover is squeezed to a pixel range `span` wide around 128,
+        # so that intensity_adjust of the transmitted image is a gain near
+        # 255/span; g is read off each transmitted image, 4% from the edge
+        cfg = EmbedConfig(alpha=alpha)
+        edge = 1 / (1 - alpha)
+        sides = {"holds": 0, "breaks": 0}
+        for seed, cover in corpus.items():
+            middle = (cover.max() + cover.min()) / 2
+            for span in spans:
+                squeezed = quantize(128 + (cover - middle) * span / np.ptp(cover))
+                for wm in (mark, -mark, random_mark(7)):
+                    marked, _ = embed_image(squeezed, wm, cfg)
+                    sent = quantize(marked).astype(np.uint8)
+                    g = 255 / (int(sent.max()) - int(sent.min()))
+                    est = extract_image(squeezed, apply_attack(
+                        sent, parse_spec("intensity_adjust")), cfg)
+                    if g <= 0.96 * edge:
+                        assert metrics.ber(wm, est) == 0, (seed, span, g)
+                        sides["holds"] += 1
+                    elif g >= 1.04 * edge:
+                        assert (est == -1).mean() >= 0.99, (seed, span, g)
+                        sides["breaks"] += 1
+        assert sides["holds"] and sides["breaks"], sides
 
     @pytest.mark.parametrize("alpha", [0.4, 0.25])
     @pytest.mark.parametrize("detector", [DETECTOR_I, DETECTOR_II],
