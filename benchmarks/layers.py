@@ -111,7 +111,7 @@ def time_layers(root, sizes, repeats):
             marked, _ = wmk.embed_image(cover, wm, cfg)
             sent = pixmap.quantize(marked)
             received = dwt.dwt2(sent, cfg.levels)
-            reference = wmk.vote_reference(pyr, cfg)
+            reference = wmk.vote_reference(pyr)
             tallies = wmk.tally_votes(reference, received)
             turns = itertools.cycle([other, cover])
             cover_u8, sent_u8 = (pixmap.quantize(x).astype("uint8")
@@ -124,10 +124,10 @@ def time_layers(root, sizes, repeats):
                 "dwt.dwt2": lambda: dwt.dwt2(cover, cfg.levels),
                 "dwt.idwt2": lambda: dwt.idwt2(pyr),
                 "watermarker.compute_thresholds":
-                    lambda: wmk.compute_thresholds(pyr, cfg),
+                    lambda: wmk.compute_thresholds(pyr),
                 "watermarker.embed": lambda: wmk.embed(pyr, wm, cfg),
                 "watermarker.vote_reference":
-                    lambda: wmk.vote_reference(pyr, cfg),
+                    lambda: wmk.vote_reference(pyr),
                 "watermarker.tally_votes":
                     lambda: wmk.tally_votes(reference, received),
                 "watermarker.tally_image":
@@ -137,12 +137,12 @@ def time_layers(root, sizes, repeats):
                 "watermarker.embed_image":
                     lambda: wmk.embed_image(cover, wm, cfg),
                 "watermarker.extract_image":
-                    lambda: wmk.extract_image(cover, sent, cfg),
+                    lambda: wmk.extract_image(cover, sent),
                 "watermarker.extract_image.covers_in_turn":
-                    lambda: wmk.extract_image(next(turns), sent, cfg),
+                    lambda: wmk.extract_image(next(turns), sent),
                 "watermarker.extract_image.uint8_detector_ii":
-                    lambda: wmk.extract_image(cover_u8, sent_u8, cfg,
-                                              wmk.DETECTOR_II),
+                    lambda: wmk.extract_image(cover_u8, sent_u8,
+                                              detector=wmk.DETECTOR_II),
                 "metrics.psnr": lambda: metrics.psnr(cover, marked),
                 "metrics.ssim": lambda: metrics.ssim(cover, marked),
                 "metrics.kl_security": lambda: metrics.kl_security(cover, marked),

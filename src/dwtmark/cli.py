@@ -8,7 +8,7 @@ that reference (`tally_image`), decodes every requested detector
 report (plus a CSV when a JPEG quality sweep is requested).
 Reports are deterministic for a given (inputs, flags, seed).
 
-Every command runs EmbedConfig()'s q factors, so embed, extract and bench
+The q factors are EmbedConfig's constants, so embed, extract and bench
 derive one significance map from a cover; only --alpha, which extraction
 never reads, is settable (on embed and bench).
 """
@@ -41,17 +41,6 @@ def _round6(x):
     return "inf" if x == math.inf else round(x, 6)
 
 
-def _detector(text):
-    """parse_detector(text), refusing a subband deeper than the pyramid."""
-    detector = parse_detector(text)
-    levels = EmbedConfig().levels
-    for s, l in detector:
-        if l > levels:
-            raise ValueError(f"detector subband {s}{l} is deeper than the "
-                             f"{levels}-level pyramid")
-    return detector
-
-
 def cmd_embed(args):
     cfg = EmbedConfig(alpha=args.alpha)   # first: a bad alpha writes nothing
     cover = read_raster(args.cover)
@@ -64,7 +53,7 @@ def cmd_embed(args):
 
 
 def cmd_extract(args):
-    detector = _detector(args.detector)
+    detector = parse_detector(args.detector)
     truth = read_watermark(args.truth) if args.truth else None
     cover = read_raster(args.cover)
     received = read_raster(args.received)
@@ -110,8 +99,12 @@ def cmd_bench(args):
     sweep_path = (os.path.splitext(args.out)[0] + "_sweep.csv"
                   if qualities else None)
     # splitext's extension is "" or starts with ".", so only a link can
-    # make the CSV overwrite the report
-    if sweep_path and os.path.realpath(sweep_path) == os.path.realpath(args.out):
+    # make the CSV overwrite the report: a symlink, whose target may not
+    # exist yet, or a hard link, which realpath does not see
+    if sweep_path and (
+            os.path.realpath(sweep_path) == os.path.realpath(args.out)
+            or os.path.exists(sweep_path) and os.path.exists(args.out)
+            and os.path.samefile(sweep_path, args.out)):
         raise ValueError(f"sweep CSV {sweep_path!r} is also --out")
     for path in filter(None, (args.out, sweep_path)):
         if os.path.isdir(path):
@@ -121,7 +114,7 @@ def cmd_bench(args):
     cfg = EmbedConfig(alpha=args.alpha)
     detectors = {}
     for name in map(str.strip, args.detectors.split(";")):
-        structure = _detector(name)
+        structure = parse_detector(name)
         if set(structure) in map(set, detectors.values()):
             raise ValueError(f"--detectors names {name!r} twice: an earlier "
                              f"detector has the same subbands")

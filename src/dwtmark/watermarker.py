@@ -22,7 +22,7 @@ and `tally_image` decomposes each suspect only into the detector's subbands.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -40,23 +40,15 @@ DETECTORS = {"I": DETECTOR_I, "II": DETECTOR_II}
 
 @dataclass(frozen=True)
 class EmbedConfig:
-    """Embedding parameters: strength and a q factor per level."""
+    """The embedding strength; the q factors, one per level, are constants
+    because extraction recomputes the thresholds from the cover."""
     alpha: float = 0.4
-    q: tuple = (0.06, 0.04, 0.02)
+    q: ClassVar[tuple] = (0.06, 0.04, 0.02)
+    levels: ClassVar[int] = len(q)   # the pyramid depth
 
     def __post_init__(self):
-        # a snapshot of plain floats: comparable, hashable and immutable
-        # whatever sequence was passed
-        object.__setattr__(self, "q", tuple(float(x) for x in self.q))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
-        if not self.q or not all(0.0 < qi < 1.0 for qi in self.q):
-            raise ValueError(f"q factors must be in (0,1), one per level, "
-                             f"got {self.q}")
-
-    @property
-    def levels(self):   # the pyramid depth
-        return len(self.q)
 
 
 @dataclass(frozen=True)
@@ -73,17 +65,17 @@ class EmbedReport:
         return sum(self.modified.values())
 
 
-def compute_thresholds(pyr, cfg):
+def compute_thresholds(pyr):
     """Per-subband thresholds T = q_l * max|c| over the detail bands."""
-    if pyr.levels < cfg.levels:
-        raise ValueError(
-            f"pyramid has {pyr.levels} levels, config needs {cfg.levels}")
+    if pyr.levels < EmbedConfig.levels:
+        raise ValueError(f"pyramid has {pyr.levels} levels, the scheme "
+                         f"needs {EmbedConfig.levels}")
     thresholds = {}
-    for l in range(1, cfg.levels + 1):
+    for l, q in enumerate(EmbedConfig.q, 1):
         for s in ORIENTATIONS:
             band = pyr.detail[(s, l)]
             # max|c| without a full-size |c| temporary; exactly equal
-            thresholds[(s, l)] = cfg.q[l - 1] * max(band.max(), -band.min())
+            thresholds[(s, l)] = q * max(band.max(), -band.min())
     return thresholds
 
 
@@ -105,7 +97,7 @@ def embed(pyr, wm, cfg):
     error is that of the coefficients, summed here as they are written.
     """
     wm = validate_watermark(wm)
-    reference = vote_reference(pyr, cfg)
+    reference = vote_reference(pyr)
     plane = (1.0 - cfg.alpha * wm).ravel()
     detail = dict(pyr.detail)
     sse = 0.0
@@ -136,7 +128,7 @@ class BandReference(NamedTuple):
     bits: np.ndarray        # mark bit position of each
 
 
-def vote_reference(cover_pyr, cfg):
+def vote_reference(cover_pyr):
     """The cover side of extraction, computed once per cover.
 
     Thresholds come from the cover.  A coefficient qualifies when |c| > T
@@ -145,7 +137,7 @@ def vote_reference(cover_pyr, cfg):
     any number of received pyramids.
     """
     reference = {}
-    for key, t in compute_thresholds(cover_pyr, cfg).items():
+    for key, t in compute_thresholds(cover_pyr).items():
         c = cover_pyr.detail[key]
         positions = np.flatnonzero(np.abs(c) > t)
         values = c.ravel()[positions]
@@ -213,9 +205,10 @@ def require_capacity(reference):
             f"{len(reference)} detail subbands")
 
 
-def extract_votes(cover_pyr, received_pyr, cfg):
-    """Per-subband sign-vote tallies of received_pyr against the cover."""
-    return tally_votes(vote_reference(cover_pyr, cfg), received_pyr)
+def extract_votes(cover_pyr, received_pyr, cfg=None):
+    """Per-subband sign-vote tallies of received_pyr against the cover;
+    cfg is not read, as extraction has no setting."""
+    return tally_votes(vote_reference(cover_pyr), received_pyr)
 
 
 def decode(tallies, detector):
@@ -244,45 +237,45 @@ def embed_image(cover, wm, cfg=EmbedConfig()):
     when the cover cannot carry the mark (see require_capacity).
     """
     cover = input_image(cover, "cover")
-    pyr = dwt2(cover, cfg.levels)
+    pyr = dwt2(cover, EmbedConfig.levels)
     marked_pyr, report = embed(pyr, wm, cfg)
     require_capacity(report.reference)
     return idwt2(marked_pyr), report
 
 
-# extract_image's last cover, in the dtype it was passed, keyed by the
-# config fields the reference reads, and its vote_reference
+# extract_image's last cover, in the dtype it was passed, and its
+# vote_reference; the key is None, as the reference reads no setting
 _cover_memo = ImageMemo()
 
 
-def _cover_reference(cover, cfg):
-    """vote_reference of the cover, if it passes require_capacity; it
-    depends on cfg's q factors, one per level."""
-    reference = vote_reference(dwt2(cover, cfg.levels), cfg)
+def _cover_reference(cover):
+    """vote_reference of the cover, if it passes require_capacity."""
+    reference = vote_reference(dwt2(cover, EmbedConfig.levels))
     require_capacity(reference)
     return reference
 
 
-def extract_image(cover, received, cfg=EmbedConfig(), detector=DETECTOR_I):
+def extract_image(cover, received, *, detector=DETECTOR_I):
     """Non-blind extraction: returns the decoded 16x16 {-1,+1} mark.
 
     Both images pass pixmap.input_image.  Raises ValueError when the
     cover cannot carry the mark (see require_capacity).  Repeated calls
-    with an equal cover and config reuse the cover's analysis; one copy
-    of the last cover, in its dtype, and its reference stay in memory.
-    The received image is decomposed only into the detector's subbands.
+    with an equal cover reuse the cover's analysis; one copy of the last
+    cover, in its dtype, and its reference stay in memory.  The received
+    image is decomposed only into the detector's subbands.
     """
     cover = input_image(cover, "cover")
     received = input_image(received, "received")
     if cover.shape != received.shape:
         raise ValueError(
             f"cover {cover.shape} and received {received.shape} differ in size")
-    reference = _cover_memo.get(cover, cfg.q, _cover_reference, cfg)
+    reference = _cover_memo.get(cover, None, _cover_reference)
     return decode(tally_image(reference, received, detector), detector)
 
 
 def parse_detector(text):
-    """Resolve 'I', 'II', or a custom list like 'h2,v2,v3'."""
+    """Resolve 'I', 'II', or a custom list like 'h2,v2,v3' of at most
+    EmbedConfig.levels levels."""
     name = text.strip()
     if name.upper() in DETECTORS:
         return DETECTORS[name.upper()]
@@ -300,4 +293,8 @@ def parse_detector(text):
         pairs.append(pair)
     if not pairs:
         raise ValueError("empty detector structure")
+    for s, l in pairs:
+        if l > EmbedConfig.levels:
+            raise ValueError(f"detector subband {s}{l} is deeper than the "
+                             f"{EmbedConfig.levels}-level pyramid")
     return tuple(pairs)

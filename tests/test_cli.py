@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 from types import SimpleNamespace
 
 import pytest
@@ -584,20 +585,25 @@ def test_bench_rejects_bad_flags_before_work(workdir, capsys, monkeypatch,
     (["--jpeg-sweep", "10..20"], "output '{d}/r_sweep.csv' is a directory"),
     (["--out", "{d}/s.json", "--jpeg-sweep", "10..20"],
      "sweep CSV '{d}/s_sweep.csv' is also --out"),
+    (["--out", "{d}/h.json", "--jpeg-sweep", "10..20"],
+     "sweep CSV '{d}/h_sweep.csv' is also --out"),
     (["--out", "{d}/nodir/r.json"],
      "output '{d}/nodir/r.json': no such directory"),
     (["--out", "{d}"], "output '{d}' is a directory"),
 ], ids=["sweep_dir_missing", "sweep_is_dir", "sweep_is_out_linked",
-        "out_dir_missing", "out_is_dir"])
+        "sweep_is_out_hard_linked", "out_dir_missing", "out_is_dir"])
 def test_bench_checks_its_outputs_before_work(workdir, capsys, monkeypatch,
                                               flags, message):
     def no_work(*_):
         raise AssertionError("bench read its inputs before checking flags")
     monkeypatch.setattr(cli, "read_raster", no_work)
-    # the sweep CSVs of --out r.json and s.json: a directory, and a link
-    # to the report; only a sweep refuses them
+    # the sweep CSVs of --out r.json, s.json and h.json: a directory, a
+    # symlink to the report and a hard link to it, which realpath does not
+    # see; only a sweep refuses them
     (workdir / "r_sweep.csv").mkdir()
     (workdir / "s_sweep.csv").symlink_to(workdir / "s.json")
+    (workdir / "h.json").write_bytes(b'{"kept": true}\n')
+    os.link(workdir / "h.json", workdir / "h_sweep.csv")
     before = sorted(workdir.iterdir())
     rc = main(["bench", str(workdir / "cover.pgm"), str(workdir / "mark.pbm"),
                "--out", str(workdir / "r.json"),
@@ -606,6 +612,7 @@ def test_bench_checks_its_outputs_before_work(workdir, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message.format(d=workdir) in err
     assert sorted(workdir.iterdir()) == before
+    assert (workdir / "h.json").read_bytes() == b'{"kept": true}\n'
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -57,8 +57,8 @@ def mark():
 ENTRY = {
     "dwt2": lambda img, _: dwt2(img, 3),
     "embed_image": lambda img, _: embed_image(img, mark(), CFG),
-    "extract_image.cover": lambda img, _: extract_image(img, good(), CFG),
-    "extract_image.received": lambda img, _: extract_image(good(), img, CFG),
+    "extract_image.cover": lambda img, _: extract_image(img, good()),
+    "extract_image.received": lambda img, _: extract_image(good(), img),
     "apply_attack": lambda img, _: apply_attack(img, AttackSpec("median")),
     "write_image": lambda img, path: write_image(img, path),
 }

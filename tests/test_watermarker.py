@@ -15,18 +15,26 @@ from conftest import random_mark
 CFG = EmbedConfig()
 
 
-def small_pyramid(rng, size=32, levels=2):
+def small_pyramid(rng, size=32, levels=3):
     return dwt2(rng.uniform(0, 255, (size, size)), levels)
 
 
-def recount_votes(cover_pyr, received_pyr, cfg):
+def level1_pyramid(level1):
+    """A 3-level pyramid of the given (s, 1) -> band, with zero-filled
+    levels 2 and 3, where no coefficient qualifies."""
+    detail = {(s, l): np.zeros((1, 1)) for l in (2, 3) for s in ORIENTATIONS}
+    return WaveletPyramid(levels=3, detail={**level1, **detail},
+                          approx=np.zeros((1, 1)))
+
+
+def recount_votes(cover_pyr, received_pyr):
     """Independent oracle: loop every coefficient, tally sign votes."""
     tallies = {}
-    for l in range(1, cfg.levels + 1):
+    for l, q in enumerate(EmbedConfig.q, 1):
         for s in ORIENTATIONS:
             c = cover_pyr.detail[(s, l)]
             cr = received_pyr.detail[(s, l)]
-            t = cfg.q[l - 1] * max(abs(c.min()), abs(c.max()))
+            t = q * max(abs(c.min()), abs(c.max()))
             tally = np.zeros((2, 16, 16), dtype=np.int64)
             for m in range(c.shape[0]):
                 for n in range(c.shape[1]):
@@ -77,51 +85,35 @@ def recount_decode(tallies, detector):
 class TestThresholds:
     def test_magnitude_max(self):
         band = np.array([[1.0, -9.0], [4.0, 2.0]])
-        pyr = WaveletPyramid(levels=1,
-                             detail={("h", 1): band, ("v", 1): band * 0,
-                                     ("d", 1): band * 0},
-                             approx=np.zeros((2, 2)))
-        cfg = EmbedConfig(q=(0.5,))
-        th = compute_thresholds(pyr, cfg)
-        assert th[("h", 1)] == pytest.approx(4.5)
+        pyr = level1_pyramid({("h", 1): band, ("v", 1): band * 0,
+                              ("d", 1): band * 0})
+        th = compute_thresholds(pyr)
+        assert th[("h", 1)] == pytest.approx(0.54)   # 0.06 * |-9|
 
     def test_zero_band_gives_zero_threshold_and_no_selection(self):
-        pyr = WaveletPyramid(levels=1,
-                             detail={(s, 1): np.zeros((4, 4)) for s in "hvd"},
-                             approx=np.zeros((4, 4)))
-        cfg = EmbedConfig(q=(0.06,))
-        th = compute_thresholds(pyr, cfg)
+        pyr = level1_pyramid({(s, 1): np.zeros((4, 4)) for s in "hvd"})
+        th = compute_thresholds(pyr)
         assert th[("h", 1)] == 0.0
-        out, report = embed(pyr, random_mark(0), cfg)
+        out, report = embed(pyr, random_mark(0), CFG)
         assert report.total_modified == 0
 
     def test_level_assignment_uses_per_level_q(self, lena_like):
         pyr = dwt2(lena_like, 3)
-        th = compute_thresholds(pyr, CFG)
+        th = compute_thresholds(pyr)
         assert len(th) == 9
         for s in ORIENTATIONS:
             band = pyr.detail[(s, 3)]
             assert th[(s, 3)] == pytest.approx(0.02 * np.abs(band).max())
 
-    def test_monotone_in_q(self, lena_like):
-        pyr = dwt2(lena_like, 3)
-        wm = random_mark(1)
-        counts = []
-        for q1 in (0.03, 0.06, 0.12):
-            _, report = embed(pyr, wm, EmbedConfig(q=(q1, 0.04, 0.02)))
-            counts.append(sum(v for (s, l), v in report.modified.items() if l == 1))
-        assert counts[0] >= counts[1] >= counts[2]
-
 
 class TestEmbed:
     def test_negative_modulation_values(self):
+        # T = 0.06 * 10 = 0.6: only the 10 qualifies
         band = np.array([[10.0, 0.5], [0.5, 0.5]])
-        pyr = WaveletPyramid(levels=1,
-                             detail={("h", 1): band.copy(),
-                                     ("v", 1): np.zeros((2, 2)),
-                                     ("d", 1): np.zeros((2, 2))},
-                             approx=np.zeros((2, 2)))
-        cfg = EmbedConfig(alpha=0.4, q=(0.5,))
+        pyr = level1_pyramid({("h", 1): band.copy(),
+                              ("v", 1): np.zeros((2, 2)),
+                              ("d", 1): np.zeros((2, 2))})
+        cfg = EmbedConfig(alpha=0.4)
         plus = np.ones((16, 16), dtype=np.int8)
         out, _ = embed(pyr, plus, cfg)
         assert out.detail[("h", 1)][0, 0] == pytest.approx(6.0)   # 10*(1-0.4)
@@ -131,30 +123,30 @@ class TestEmbed:
     def test_subthreshold_untouched(self):
         rng = np.random.default_rng(2)
         pyr = small_pyramid(rng)
-        out, _ = embed(pyr, random_mark(2), CFG_SMALL)
+        out, _ = embed(pyr, random_mark(2), CFG)
         for key in pyr.detail:
             band, new = pyr.detail[key], out.detail[key]
-            t = CFG_SMALL.q[key[1] - 1] * np.abs(band).max()
+            t = CFG.q[key[1] - 1] * np.abs(band).max()
             below = np.abs(band) <= t
             assert (band[below] == new[below]).all()
 
     def test_ll_band_untouched(self):
         rng = np.random.default_rng(3)
         pyr = small_pyramid(rng)
-        out, _ = embed(pyr, random_mark(3), CFG_SMALL)
+        out, _ = embed(pyr, random_mark(3), CFG)
         assert (out.approx == pyr.approx).all()
 
     def test_report_counts_match_selection(self, lena_like):
         pyr = dwt2(lena_like, 3)
         _, report = embed(pyr, random_mark(4), CFG)
-        th = compute_thresholds(pyr, CFG)
+        th = compute_thresholds(pyr)
         for key, t in th.items():
             assert report.modified[key] == int((np.abs(pyr.detail[key]) > t).sum())
 
     def test_report_reference_is_the_vote_reference(self, lena_like):
         pyr = dwt2(lena_like, 3)
         marked, report = embed(pyr, random_mark(4), CFG)
-        want = vote_reference(pyr, CFG)
+        want = vote_reference(pyr)
         assert report.reference.keys() == want.keys()
         for key, band in want.items():
             got = report.reference[key]
@@ -164,18 +156,17 @@ class TestEmbed:
             assert report.modified[key] == band.positions.size
         # the report's map serves extraction as it is
         tallies = tally_votes(report.reference, marked)
-        for key, tally in extract_votes(pyr, marked, CFG).items():
+        for key, tally in extract_votes(pyr, marked).items():
             assert (tallies[key] == tally).all()
 
     def test_matches_loop_oracle_on_ragged_bands(self):
-        # a 40x24 cover gives 20x12 and 10x6 bands, sides that are not
-        # multiples of the 16x16 mark, so the mark tiles only partly
+        # a 40x24 cover gives 20x12, 10x6 and 5x3 bands, sides that are
+        # not multiples of the 16x16 mark, so the mark tiles only partly
         cover = np.random.default_rng(6).uniform(0, 255, (40, 24))
-        cfg = EmbedConfig(q=(0.06, 0.04))
         wm = random_mark(6)
-        pyr = dwt2(cover, 2)
-        out, _ = embed(pyr, wm, cfg)
-        for key, expected in loop_embed(pyr, wm, cfg).items():
+        pyr = dwt2(cover, 3)
+        out, _ = embed(pyr, wm, CFG)
+        for key, expected in loop_embed(pyr, wm, CFG).items():
             assert out.detail[key].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("layout", ["fortran", "strided", "reversed"])
@@ -189,21 +180,17 @@ class TestEmbed:
             "reversed": lambda c: c[::-1, ::-1].copy()[::-1, ::-1],
         }[layout]
         cover = np.random.default_rng(11).uniform(0, 255, (48, 40))
-        cfg = EmbedConfig(q=(0.06, 0.04))
         wm = random_mark(11)
-        pyr = dwt2(cover, 2)
+        pyr = dwt2(cover, 3)
         detail = {key: relayout(c) for key, c in pyr.detail.items()}
         for key, c in detail.items():
             assert not c.flags.c_contiguous
             assert c.tobytes() == pyr.detail[key].tobytes()
-        odd = WaveletPyramid(levels=2, detail=detail, approx=pyr.approx)
-        out, report = embed(odd, wm, cfg)
+        odd = WaveletPyramid(levels=3, detail=detail, approx=pyr.approx)
+        out, report = embed(odd, wm, CFG)
         assert report.total_modified > 0
-        for key, expected in loop_embed(pyr, wm, cfg).items():
+        for key, expected in loop_embed(pyr, wm, CFG).items():
             assert out.detail[key].tobytes() == expected.tobytes()
-
-
-CFG_SMALL = EmbedConfig(q=(0.06, 0.04))
 
 
 class TestExtract:
@@ -211,8 +198,8 @@ class TestExtract:
         rng = np.random.default_rng(5)
         pyr = small_pyramid(rng)
         wm = random_mark(5)
-        marked, _ = embed(pyr, wm, CFG_SMALL)
-        tallies = extract_votes(pyr, marked, CFG_SMALL)
+        marked, _ = embed(pyr, wm, CFG)
+        tallies = extract_votes(pyr, marked)
         for key, tal in tallies.items():
             wrong_plus = (tal[0] > 0) & (wm == -1)
             wrong_minus = (tal[1] > 0) & (wm == 1)
@@ -222,7 +209,7 @@ class TestExtract:
     def test_identical_coefficients_abstain(self):
         rng = np.random.default_rng(6)
         pyr = small_pyramid(rng)
-        tallies = extract_votes(pyr, pyr, CFG_SMALL)
+        tallies = extract_votes(pyr, pyr)
         for tal in tallies.values():
             assert tal.sum() == 0
 
@@ -231,14 +218,14 @@ class TestExtract:
         for trial in range(5):
             pyr = small_pyramid(rng)
             wm = random_mark(70 + trial)
-            marked, _ = embed(pyr, wm, CFG_SMALL)
+            marked, _ = embed(pyr, wm, CFG)
             noisy = WaveletPyramid(
                 levels=marked.levels,
                 detail={k: v + rng.normal(0, 4.0, v.shape)
                         for k, v in marked.detail.items()},
                 approx=marked.approx)
-            got = extract_votes(pyr, noisy, CFG_SMALL)
-            want = recount_votes(pyr, noisy, CFG_SMALL)
+            got = extract_votes(pyr, noisy)
+            want = recount_votes(pyr, noisy)
             for key in want:
                 assert (got[key] == want[key]).all()
 
@@ -247,14 +234,13 @@ class TestExtract:
         a = small_pyramid(rng, size=32)
         b = small_pyramid(rng, size=64)
         with pytest.raises(ValueError, match="mismatch"):
-            extract_votes(a, b, CFG_SMALL)
+            extract_votes(a, b)
 
     def test_reused_reference_matches_recount_oracle(self):
-        cfg = EmbedConfig(q=(0.06, 0.04))
         rng = np.random.default_rng(9)
         pyr = small_pyramid(rng)
-        marked, _ = embed(pyr, random_mark(9), cfg)
-        reference = vote_reference(pyr, cfg)
+        marked, _ = embed(pyr, random_mark(9), CFG)
+        reference = vote_reference(pyr)
         saved = {key: [np.copy(a) for a in band[1:]]
                  for key, band in reference.items()}
         noisy = {k: v + rng.normal(0, 4.0, v.shape)
@@ -263,10 +249,10 @@ class TestExtract:
         zeroed = {k: np.where(rng.random(v.shape) < 0.3, 0.0, v)
                   for k, v in marked.detail.items()}
         for detail in (marked.detail, noisy, zeroed, pyr.detail):
-            received = WaveletPyramid(levels=2, detail=detail,
+            received = WaveletPyramid(levels=3, detail=detail,
                                       approx=marked.approx)
             got = tally_votes(reference, received)
-            want = recount_votes(pyr, received, cfg)
+            want = recount_votes(pyr, received)
             assert got.keys() == want.keys()
             for key in want:
                 assert (got[key] == want[key]).all()
@@ -280,24 +266,22 @@ class TestExtract:
         # zeros there never qualify, in any of the three subbands
         band = np.ones((16, 32))
         band[3, 5] = band[3, 21] = 0.0
-        pyr = WaveletPyramid(levels=1, detail={(s, 1): band for s in "hvd"},
-                             approx=np.zeros((16, 32)))
-        cfg = EmbedConfig(q=(0.06,))
+        pyr = level1_pyramid({(s, 1): band for s in "hvd"})
         with pytest.raises(ValueError, match=" 1 of 256 bit positions .* any "
-                                             "of its 3 detail subbands"):
-            require_capacity(vote_reference(pyr, cfg))
+                                             "of its 9 detail subbands"):
+            require_capacity(vote_reference(pyr))
         band[3, 21] = 1.0
-        require_capacity(vote_reference(pyr, cfg))
+        require_capacity(vote_reference(pyr))
 
     def test_tally_rejects_missing_and_mismatched_subbands(self):
         rng = np.random.default_rng(10)
         pyr = small_pyramid(rng, size=32)
-        reference = vote_reference(pyr, CFG_SMALL)
+        reference = vote_reference(pyr)
         with pytest.raises(ValueError, match="mismatch"):
             tally_votes(reference, small_pyramid(rng, size=64))
-        one_level = small_pyramid(rng, size=32, levels=1)
-        with pytest.raises(ValueError, match=r"missing subband \('h', 2\)"):
-            tally_votes(reference, one_level)
+        two_levels = small_pyramid(rng, size=32, levels=2)
+        with pytest.raises(ValueError, match=r"missing subband \('h', 3\)"):
+            tally_votes(reference, two_levels)
 
 
 class TestTallyImage:
@@ -319,25 +303,24 @@ class TestTallyImage:
             assert tally.tobytes() == full[key].tobytes()
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
-    def test_takes_its_depth_from_the_reference(self, lena_like, depth):
-        cfg = EmbedConfig(q=CFG.q[:depth])
-        marked, report = embed_image(lena_like, random_mark(14), cfg)
-        noise = np.random.default_rng(14).normal(0, 3.0, marked.shape)
-        img = quantize(marked + noise)
-        got = tally_image(report.reference, img, list(report.reference))
-        full = tally_votes(report.reference, dwt2(img, depth))
+    def test_takes_its_depth_from_the_reference(self, received, depth):
+        # a reference cut to the levels up to `depth` is a depth-level map
+        reference, img = received
+        reference = {key: band for key, band in reference.items()
+                     if key[1] <= depth}
+        got = tally_image(reference, img, list(reference))
+        full = tally_votes(reference, dwt2(img, depth))
         assert len(got) == 3 * depth and got.keys() == full.keys()
         for key, tally in got.items():
             assert tally.tobytes() == full[key].tobytes()
 
     def test_drops_a_key_absent_from_the_reference(self, lena_like):
-        cfg = EmbedConfig(q=(0.06, 0.04))
-        marked, report = embed_image(lena_like, random_mark(13), cfg)
-        tallies = tally_image(report.reference, marked, [("h", 1), ("h", 3)])
+        marked, report = embed_image(lena_like, random_mark(13), CFG)
+        tallies = tally_image(report.reference, marked, [("h", 1), ("h", 4)])
         assert list(tallies) == [("h", 1)]
         with pytest.raises(ValueError,
-                           match=r"subband \('h', 3\) absent from tallies"):
-            decode(tallies, (("h", 1), ("h", 3)))
+                           match=r"subband \('h', 4\) absent from tallies"):
+            decode(tallies, (("h", 1), ("h", 4)))
 
     def test_decomposes_only_the_named_subbands(self, received, monkeypatch):
         reference, img = received
@@ -413,7 +396,7 @@ class TestDecode:
             decode(tallies, twice)
         marked, _ = embed_image(lena_like, mark, CFG)
         with pytest.raises(ValueError, match="twice"):
-            extract_image(lena_like, marked, CFG, twice)
+            extract_image(lena_like, marked, detector=twice)
 
 
 class TestEndToEnd:
@@ -421,7 +404,7 @@ class TestEndToEnd:
         marked, report = embed_image(lena_like, mark, CFG)
         assert 33 <= report.psnr <= 41
         for det in (DETECTOR_I, DETECTOR_II):
-            est = extract_image(lena_like, marked, CFG, det)
+            est = extract_image(lena_like, marked, detector=det)
             assert metrics.ber(mark, est) == 0.0
 
     def test_alpha_near_zero_is_transparent(self, lena_like, mark):
@@ -435,7 +418,7 @@ class TestEndToEnd:
         assert psnrs[0] >= psnrs[1] >= psnrs[2]
 
     def test_no_mark_extraction_near_chance(self, lena_like):
-        est = extract_image(lena_like, lena_like, CFG, DETECTOR_I)
+        est = extract_image(lena_like, lena_like, detector=DETECTOR_I)
         bers = [metrics.ber(random_mark(500 + i), est) for i in range(20)]
         assert 0.35 <= float(np.mean(bers)) <= 0.65
 
@@ -451,11 +434,11 @@ class TestEndToEnd:
         for det in (DETECTOR_I, DETECTOR_II):
             with pytest.raises(ValueError, match="cannot carry the mark: "
                                "112 of 256 bit positions"):
-                extract_image(cover, cover, CFG, det)
+                extract_image(cover, cover, detector=det)
 
     def test_dimension_mismatch(self, lena_like):
         with pytest.raises(ValueError, match="differ"):
-            extract_image(lena_like, lena_like[:128, :128], CFG, DETECTOR_I)
+            extract_image(lena_like, lena_like[:128, :128], detector=DETECTOR_I)
 
     def test_non_finite_pixels_rejected(self, lena_like, mark):
         bad = lena_like.copy()
@@ -464,9 +447,9 @@ class TestEndToEnd:
             embed_image(bad, mark, CFG)
         bad[5, 7] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            extract_image(lena_like, bad, CFG, DETECTOR_I)
+            extract_image(lena_like, bad, detector=DETECTOR_I)
         with pytest.raises(ValueError, match="non-finite"):
-            extract_image(bad, lena_like, CFG, DETECTOR_I)
+            extract_image(bad, lena_like, detector=DETECTOR_I)
 
 
 class TestGainLimit:
@@ -492,7 +475,7 @@ class TestGainLimit:
                 marked, _ = embed_image(cover, wm, cfg)
                 sent = quantize(marked).astype(np.uint8)
                 est = {up: extract_image(cover, apply_attack(
-                    sent, parse_spec(f"range_map:low=0,up={up}")), cfg)
+                    sent, parse_spec(f"range_map:low=0,up={up}")))
                     for up in (below, above)}
                 assert (est[below] == 1).all(), seed
                 assert metrics.ber(wm, est[above]) <= 0.01, seed
@@ -517,7 +500,7 @@ class TestGainLimit:
                     sent = quantize(marked).astype(np.uint8)
                     g = 255 / (int(sent.max()) - int(sent.min()))
                     est = extract_image(squeezed, apply_attack(
-                        sent, parse_spec("intensity_adjust")), cfg)
+                        sent, parse_spec("intensity_adjust")))
                     if g <= 0.96 * edge:
                         assert metrics.ber(wm, est) == 0, (seed, span, g)
                         sides["holds"] += 1
@@ -537,20 +520,18 @@ class TestGainLimit:
                 marked, _ = embed_image(cover, wm, cfg)
                 inverted = apply_attack(quantize(marked).astype(np.uint8),
                                         parse_spec("invert"))
-                est = extract_image(cover, inverted, cfg, detector)
+                est = extract_image(cover, inverted, detector=detector)
                 assert (est == 1).all(), seed
 
 
 class TestEmbeddingPsnr:
-    @pytest.mark.parametrize("levels", [1, 2, 3])
-    def test_matches_pixel_psnr(self, corpus, mark, levels):
+    def test_matches_pixel_psnr(self, corpus, mark):
         # the report's PSNR comes from the changed coefficients (Parseval)
-        cfg = EmbedConfig(q=CFG.q[:levels])
         for cover in corpus.values():
-            marked, report = embed_image(cover, mark, cfg)
+            marked, report = embed_image(cover, mark, CFG)
             assert abs(report.psnr - metrics.psnr(cover, marked)) < 1e-9
             # embed itself builds the whole report
-            assert embed(dwt2(cover, levels), mark, cfg)[1].psnr == report.psnr
+            assert embed(dwt2(cover, 3), mark, CFG)[1].psnr == report.psnr
 
     def test_selected_subband_pyramid(self, lena_like, mark):
         # dwt2 asked for every detail subband has no approx band
@@ -580,10 +561,10 @@ def dwt2_calls(monkeypatch):
     return calls
 
 
-def fresh_extract(cover, received, cfg, detector):
+def fresh_extract(cover, received, detector):
     """extract_image's result from a new analysis of the cover."""
-    tallies = extract_votes(dwt2(cover, cfg.levels),
-                            dwt2(received, cfg.levels), cfg)
+    tallies = extract_votes(dwt2(cover, EmbedConfig.levels),
+                            dwt2(received, EmbedConfig.levels))
     return decode(tallies, detector)
 
 
@@ -596,72 +577,69 @@ class TestCoverMemo:
                                                mark):
         marked, _ = embed_image(lena_like, mark, CFG)
         assert len(dwt2_calls) == 1
-        extract_image(lena_like, marked, CFG, DETECTOR_I)
+        extract_image(lena_like, marked, detector=DETECTOR_I)
         assert len(dwt2_calls) == 3
         for i, det in enumerate((DETECTOR_I, DETECTOR_II, DETECTOR_I)):
             received = noisy(marked, i)
             # an equal but distinct cover array: only the suspect is analysed
-            est = extract_image(lena_like.copy(), received, CFG, det)
+            est = extract_image(lena_like.copy(), received, detector=det)
             assert len(dwt2_calls) == 4 + i
-            want = fresh_extract(lena_like, received, CFG, det)
+            want = fresh_extract(lena_like, received, det)
             assert np.array_equal(est, want)
         assert metrics.ber(mark, est) > 0.0   # the noise moved some bits
 
-    @pytest.mark.parametrize("change", ["pixel", "q", "levels", "shape"])
+    @pytest.mark.parametrize("change", ["pixel", "shape"])
     def test_changed_cover_or_config_misses(self, dwt2_calls, lena_like, mark,
                                             change):
-        detector = parse_detector("h1,v1,d2,h2")   # valid at 2 levels
+        detector = parse_detector("h1,v1,d2,h2")
         marked, _ = embed_image(lena_like, mark, CFG)
-        extract_image(lena_like, marked, CFG, detector)
+        extract_image(lena_like, marked, detector=detector)
         calls = len(dwt2_calls)
-        cover, received, cfg = lena_like.copy(), noisy(marked, 1), CFG
+        cover, received = lena_like.copy(), noisy(marked, 1)
         if change == "pixel":
             cover[200, 31] += 1.0
-        elif change == "q":
-            cfg = EmbedConfig(q=(0.06, 0.04, 0.03))
-        elif change == "levels":   # two q factors: a 2-level pyramid
-            cfg = EmbedConfig(q=(0.06, 0.04))
         else:
             cover, received = cover[:, :192], received[:, :192]
-        est = extract_image(cover, received, cfg, detector)
+        est = extract_image(cover, received, detector=detector)
         assert dwt2_calls[calls:] == [cover.shape, received.shape]
-        assert np.array_equal(est, fresh_extract(cover, received, cfg,
-                                                 detector))
+        assert np.array_equal(est, fresh_extract(cover, received, detector))
 
     def test_alpha_does_not_enter_the_reference(self, dwt2_calls, lena_like):
-        extract_image(lena_like, noisy(lena_like, 0), CFG, DETECTOR_I)
-        extract_image(lena_like, noisy(lena_like, 1), EmbedConfig(alpha=0.2),
-                      DETECTOR_I)
-        assert len(dwt2_calls) == 3
+        # extraction takes no config, so marks of any alpha share one
+        # analysis of their cover
+        for alpha in (0.4, 0.2):
+            marked, _ = embed_image(lena_like, random_mark(0),
+                                    EmbedConfig(alpha=alpha))
+            extract_image(lena_like, marked)
+        assert len(dwt2_calls) == 5
 
     def test_writes_into_the_callers_cover_are_seen(self, dwt2_calls,
                                                    lena_like, mark):
         cover = lena_like.copy()
         marked, _ = embed_image(cover, mark, CFG)
-        extract_image(cover, marked, CFG, DETECTOR_I)
+        extract_image(cover, marked, detector=DETECTOR_I)
         cover *= 0.5   # same array, new pixels
-        est = extract_image(cover, marked, CFG, DETECTOR_I)
+        est = extract_image(cover, marked, detector=DETECTOR_I)
         assert len(dwt2_calls) == 5
-        assert np.array_equal(est, fresh_extract(cover, marked, CFG,
-                                                 DETECTOR_I))
+        assert np.array_equal(est, fresh_extract(cover, marked, DETECTOR_I))
         assert not np.array_equal(est, mark)   # what a stale reference gives
 
     def test_refused_cover_is_refused_every_time(self, dwt2_calls, lena_like):
         cover = lena_like[:24, :24]
         for i in range(3):
             with pytest.raises(ValueError, match="cannot carry the mark"):
-                extract_image(cover, cover, CFG, DETECTOR_I)
+                extract_image(cover, cover, detector=DETECTOR_I)
             assert len(dwt2_calls) == i + 1
         assert watermarker._cover_memo.slot is None
 
     def test_non_finite_cover_after_a_cached_one(self, dwt2_calls, lena_like):
-        extract_image(lena_like, lena_like, CFG, DETECTOR_I)
+        extract_image(lena_like, lena_like, detector=DETECTOR_I)
         bad = lena_like.copy()
         bad[5, 7] = np.nan
         with pytest.raises(ValueError, match="cover image has non-finite"):
-            extract_image(bad, lena_like, CFG, DETECTOR_I)
+            extract_image(bad, lena_like, detector=DETECTOR_I)
         with pytest.raises(ValueError, match="received image has non-finite"):
-            extract_image(lena_like, bad, CFG, DETECTOR_I)
+            extract_image(lena_like, bad, detector=DETECTOR_I)
         assert len(dwt2_calls) == 2
 
 
@@ -676,10 +654,10 @@ class TestIntegerPixels:
         marked, _ = embed_image(cover, mark, CFG)
         for i, det in enumerate((DETECTOR_I, DETECTOR_II)):
             received = as_uint8(noisy(marked, i))
-            want = fresh_extract(cover, received, CFG, det)
+            want = fresh_extract(cover, received, det)
             for c, r in ((cover, received), (cover, received.astype(float)),
                          (cover.astype(float), received)):
-                assert np.array_equal(extract_image(c, r, CFG, det), want)
+                assert np.array_equal(extract_image(c, r, detector=det), want)
         # one cover analysis: every later call, whatever its dtypes, hit
         assert len(dwt2_calls) == 1 + 1 + 6
 
@@ -697,25 +675,24 @@ class TestIntegerPixels:
         marked, _ = embed_image(cover, mark, CFG)
         received = as_uint8(noisy(marked, 3))
         other = np.float64 if first is np.uint8 else np.uint8
-        extract_image(cover.astype(first), received, CFG, DETECTOR_II)
+        extract_image(cover.astype(first), received, detector=DETECTOR_II)
         # the held copy keeps the dtype the cover was passed in
         held = watermarker._cover_memo.slot[1]
         assert held.dtype == first and not held.flags.writeable
-        est = extract_image(cover.astype(other), received, CFG, DETECTOR_II)
+        est = extract_image(cover.astype(other), received, detector=DETECTOR_II)
         assert len(dwt2_calls) == 1 + 2 + 1
-        assert np.array_equal(est, fresh_extract(cover, received, CFG,
-                                                 DETECTOR_II))
+        assert np.array_equal(est, fresh_extract(cover, received, DETECTOR_II))
 
     def test_non_finite_float_cover_after_a_uint8_one(self, dwt2_calls,
                                                       lena_like):
         cover = as_uint8(lena_like)
-        extract_image(cover, cover, CFG, DETECTOR_I)
+        extract_image(cover, cover, detector=DETECTOR_I)
         bad = cover.astype(float)
         bad[5, 7] = np.nan
         with pytest.raises(ValueError, match="cover image has non-finite"):
-            extract_image(bad, cover, CFG, DETECTOR_I)
+            extract_image(bad, cover, detector=DETECTOR_I)
         with pytest.raises(ValueError, match="received image has non-finite"):
-            extract_image(cover, bad, CFG, DETECTOR_I)
+            extract_image(cover, bad, detector=DETECTOR_I)
         assert len(dwt2_calls) == 2
 
     def test_suspect_decomposed_into_the_detectors_subbands(self, monkeypatch,
@@ -730,16 +707,20 @@ class TestIntegerPixels:
         monkeypatch.setattr(watermarker, "dwt2", recording_dwt2)
         received = noisy(lena_like, 4)
         for det in (DETECTOR_II, DETECTOR_I, parse_detector("d1,h3")):
-            extract_image(lena_like, received, CFG, det)
+            extract_image(lena_like, received, detector=det)
         # the cover is analysed in full once, each suspect in part
         assert asked == [None, set(DETECTOR_II), set(DETECTOR_I),
                          {("d", 1), ("h", 3)}]
 
     def test_detector_deeper_than_the_config_still_refused(self, lena_like):
+        with pytest.raises(ValueError,
+                           match="h4 is deeper than the 3-level pyramid"):
+            parse_detector("h2,h4")
         with pytest.raises(ValueError, match="absent from tallies"):
-            extract_image(lena_like, lena_like, CFG, parse_detector("h2,h4"))
+            extract_image(lena_like, lena_like,
+                          detector=(("h", 2), ("h", 4)))
         with pytest.raises(ValueError, match="at least one subband"):
-            extract_image(lena_like, lena_like, CFG, ())
+            extract_image(lena_like, lena_like, detector=())
 
 
 class TestConfig:
@@ -749,55 +730,29 @@ class TestConfig:
         with pytest.raises(ValueError, match="alpha"):
             EmbedConfig(alpha=1.0)
 
-    def test_q_bounds(self):
-        with pytest.raises(ValueError, match="q factors"):
-            EmbedConfig(q=(0.06, 1.5, 0.02))
-
     def test_modulation_is_not_a_field(self):
         # one polarity: a +1 bit scales c by 1 - alpha
         with pytest.raises(TypeError, match="modulation"):
             EmbedConfig(modulation="negative")
 
-    @pytest.mark.parametrize("q", [(0.06,), (0.06, 0.04), (0.06, 0.04, 0.02),
-                                   (0.06, 0.04, 0.02, 0.01)],
-                             ids=["1", "2", "3", "4"])
-    def test_levels_is_the_number_of_q_factors(self, q):
-        cfg = EmbedConfig(q=q)
-        assert cfg.levels == len(q)
-        pyr = dwt2(np.random.default_rng(len(q)).uniform(0, 255, (64, 64)),
-                   cfg.levels)
-        assert sorted(vote_reference(pyr, cfg)) == sorted(
-            (s, l) for l in range(1, len(q) + 1) for s in ORIENTATIONS)
+    def test_q_is_not_a_field(self):
+        # extraction recomputes the thresholds from the cover, so it reads
+        # the embedder's coefficients only with the embedder's q factors
+        with pytest.raises(TypeError, match="'q'"):
+            EmbedConfig(q=(0.06,))
+        assert EmbedConfig.q == (0.06, 0.04, 0.02)
+        assert EmbedConfig().levels == 3
 
-    def test_empty_q_refused(self):
-        with pytest.raises(ValueError, match="q factors .* one per level"):
-            EmbedConfig(q=())
+    def test_extraction_takes_no_config(self, lena_like):
+        # a config passed where a detector was would reach decode
+        with pytest.raises(TypeError, match="positional"):
+            extract_image(lena_like, lena_like, EmbedConfig())
 
     def test_levels_is_not_a_field(self):
         # the depth is set once, by the number of q factors
         with pytest.raises(TypeError, match="levels"):
             EmbedConfig(levels=3)
         assert EmbedConfig().levels == 3
-
-    @pytest.mark.parametrize("q", [np.array([0.06, 0.04, 0.02]),
-                                   [0.06, 0.04, 0.02], (0.06, 0.04, 0.02),
-                                   np.float32([0.06, 0.04, 0.02])],
-                             ids=["ndarray", "list", "tuple", "float32"])
-    def test_q_is_stored_as_a_tuple_of_floats(self, q):
-        cfg = EmbedConfig(q=q)
-        assert type(cfg.q) is tuple
-        assert all(type(x) is float for x in cfg.q)
-        assert cfg.q == tuple(float(x) for x in q)
-        twin = EmbedConfig(q=tuple(float(x) for x in q))
-        assert cfg == twin and hash(cfg) == hash(twin)
-        if isinstance(q, list):
-            q[0] = 0.5   # the config keeps its own snapshot
-            assert cfg.q[0] == 0.06
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_q_refused(self, bad):
-        with pytest.raises(ValueError, match="q factors"):
-            EmbedConfig(q=np.array([0.06, bad, 0.02]))
 
     def test_parse_detector(self):
         assert parse_detector("I") == DETECTOR_I
